@@ -13,10 +13,11 @@ paths and compare with ``--compare``::
 only guards that the benchmark itself keeps working; timing assertions
 would be noise on shared runners).
 
-``--jobs N`` fans candidate evaluation over N worker processes
-(:mod:`repro.parallel`).  Report numbers are bit-identical at any value —
-``--compare`` enforces exactly that — so a ``--jobs`` run can be compared
-against a serial baseline; the ``jobs`` column records what was used.
+``--jobs N`` fans candidate evaluation over a process fabric of N worker
+processes (:mod:`repro.parallel`).  Report numbers are bit-identical at
+any value — ``--compare`` enforces exactly that — so a ``--jobs`` run can
+be compared against a serial baseline; the ``jobs`` column records the
+fabric's parallelism.
 
 ``--fabric serial|process|remote`` picks the execution backend
 explicitly (docs/FABRIC.md); the ``fabric`` column records it.  The
@@ -71,21 +72,20 @@ QUICK_CIRCUITS = ["syn1423"]
 PROCEDURES = {"procedure2": procedure2, "procedure3": procedure3}
 
 
-def bench_one(name, k, seed, jobs, memo_root=None, fabric=None):
+def bench_one(name, k, seed, memo_root=None, fabric=None):
     circuit = suite_circuit(name)
     entry = {}
     for proc_name, proc in PROCEDURES.items():
         if memo_root:
             identification_cache().clear()
         t0 = time.perf_counter()
-        rep = proc(circuit, k=k, seed=seed, jobs=jobs, fabric=fabric)
+        rep = proc(circuit, k=k, seed=seed, fabric=fabric)
         wall = time.perf_counter() - t0
         row = {
             "wall_s": round(wall, 3),
             "pass_seconds": [round(s, 3) for s in rep.pass_seconds],
             "jobs": rep.jobs,
-            "fabric": rep.timings.get(
-                "fabric", "process" if jobs > 1 else "serial"),
+            "fabric": rep.timings.get("fabric", "serial"),
             "gates_before": rep.gates_before,
             "gates_after": rep.gates_after,
             "paths_before": rep.paths_before,
@@ -113,8 +113,8 @@ def bench_one(name, k, seed, jobs, memo_root=None, fabric=None):
                 store = MemoStore(store_dir, registry=Registry())
                 identification_cache().clear()
                 t1 = time.perf_counter()
-                leg_rep = proc(circuit, k=k, seed=seed, jobs=jobs,
-                               memo=store, fabric=fabric)
+                leg_rep = proc(circuit, k=k, seed=seed, memo=store,
+                               fabric=fabric)
                 walls[leg] = time.perf_counter() - t1
                 identification_cache().clear()
                 drift = [f for f in REPORT_NUMBER_FIELDS
@@ -247,8 +247,9 @@ def main():
     ap.add_argument("--k", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for candidate evaluation "
-                         "(default 1 = serial; reports are identical)")
+                    help="worker processes for candidate evaluation: "
+                         "N > 1 without --fabric means a process fabric "
+                         "(default 1 = inline; reports are identical)")
     ap.add_argument("--fabric", default=None,
                     choices=["serial", "process", "remote"],
                     help="execution backend for candidate evaluation "
@@ -281,7 +282,8 @@ def main():
     circuits = args.circuits or (
         QUICK_CIRCUITS if args.quick else DEFAULT_CIRCUITS
     )
-    fabric_name = args.fabric or ("remote" if args.workers else None)
+    fabric_name = args.fabric or (
+        "remote" if args.workers else "process" if args.jobs > 1 else None)
     fabric = None
     server = None
     if fabric_name == "serial":
@@ -313,8 +315,7 @@ def main():
         "k": args.k,
         "seed": args.seed,
         "jobs": args.jobs,
-        "fabric": fabric.name if fabric is not None else (
-            "process" if args.jobs > 1 else "serial"),
+        "fabric": fabric.name if fabric is not None else "serial",
         "memo": bool(args.memo),
         "python": platform.python_version(),
         "results": {},
@@ -323,8 +324,8 @@ def main():
     try:
         for name in circuits:
             report["results"][name] = bench_one(
-                name, args.k, args.seed, args.jobs,
-                memo_root=args.memo, fabric=fabric)
+                name, args.k, args.seed, memo_root=args.memo,
+                fabric=fabric)
     finally:
         if fabric is not None:
             fabric.close()

@@ -2,7 +2,8 @@
 
 Runs a small suite circuit through Procedure 2 three times — memo-less
 baseline, cold store (recording), warm store (a fresh instance reading
-the persisted entries back) — plus a warm ``jobs=2`` leg, and asserts
+the persisted entries back) — plus a warm leg on a 2-worker process
+fabric (``warm jobs=2``), and asserts
 the docs/MEMO.md determinism contract end to end: every report is
 bit-identical on the deterministic fields and the result netlists, the
 cold run recorded entries, and the warm runs served a nonzero hit rate
@@ -20,6 +21,7 @@ import time
 
 from repro.benchcircuits.suite import suite_circuit
 from repro.comparison import identification_cache
+from repro.fabric import ProcessFabric
 from repro.io import circuit_to_json
 from repro.memo import MemoStore
 from repro.obs import Registry
@@ -31,12 +33,16 @@ SEED = 1
 
 
 def run(memo=None, jobs=1):
-    """One sweep with a cold in-process cache (memo answers or nothing)."""
+    """One sweep with a cold in-process cache (memo answers or nothing),
+    inline or, for ``jobs > 1``, primed on a process fabric."""
     identification_cache().clear()
+    fabric = ProcessFabric(jobs) if jobs > 1 else None
     try:
         return procedure2(suite_circuit(CIRCUIT), k=K, seed=SEED,
-                          memo=memo, jobs=jobs)
+                          memo=memo, fabric=fabric)
     finally:
+        if fabric is not None:
+            fabric.close()
         identification_cache().clear()
 
 

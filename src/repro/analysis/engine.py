@@ -61,11 +61,6 @@ class AnalysisSession:
         — alongside :attr:`truth_tables`, it is the per-run cache bundle
         the sweep and the parallel primer consult; the session never
         reads it itself.
-    fabric:
-        Optional :class:`repro.fabric.Fabric` the run's candidate
-        evaluation is fanned out on.  Carried like ``memo`` (the session
-        never executes tasks itself); the owner of the run — not the
-        session — closes it.
 
     Notes
     -----
@@ -75,14 +70,13 @@ class AnalysisSession:
     mutation of a fuzzed mutation sequence.
     """
 
-    def __init__(self, circuit: Circuit, registry=None, memo=None,
-                 fabric=None) -> None:
+    def __init__(self, circuit: Circuit, registry=None,
+                 memo=None) -> None:
         self._circuit = circuit
         self._labels: Optional[Dict[str, int]] = None
         self._dirty: Set[str] = set()
         self.truth_tables = TruthTableCache()
         self.memo = memo
-        self.fabric = fabric
         self._registry = registry
         self._flushes = 0
         self._closed = False

@@ -6,9 +6,10 @@ Subcommands
     Print size/path statistics for a circuit (suite name or ``.bench``).
 ``resynth CIRCUIT [--objective gates|paths] [--k K] [--jobs N] \
 [--fabric serial|process|remote] [--workers URL] [--out FILE]``
-    Run Procedure 2 or 3 and optionally write the result; ``--jobs``
-    fans candidate evaluation over worker processes (bit-identical
-    reports at any value, see docs/PARALLEL.md).  ``--out x.json``
+    Run Procedure 2 or 3 and optionally write the result; ``--fabric``
+    fans candidate evaluation out (``--jobs N`` alone is shorthand for a
+    local process fabric of N workers; reports are bit-identical either
+    way, see docs/PARALLEL.md).  ``--out x.json``
     writes the full report + result netlist in the service's report
     serialization; any other suffix writes a ``.bench`` netlist.
     ``--trace FILE`` records a JSONL span trace of the run
@@ -28,8 +29,7 @@ Subcommands
 ``replay ARTIFACT [ARTIFACT ...]``
     Re-run the oracle of previously written repro artifacts.
 ``serve [--root DIR] [--port P] [--workers N] [--memo DIR] \
-[--task-workers N] [--tenants FILE] [--queue-limit N] \
-[--frontend async|threaded]``
+[--task-workers N] [--tenants FILE] [--queue-limit N]``
     Run the checkpointable resynthesis job service (docs/SERVICE.md;
     operations in docs/OPERATIONS.md); ``--memo`` shares one
     identification cache across all workers, ``--task-workers``
@@ -77,6 +77,34 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _make_fabric(args, tracer=None, min_jobs: int = 1):
+    """The fabric ``--fabric`` / ``--jobs`` / ``--workers`` select.
+
+    ``None`` means inline evaluation.  ``--jobs N`` with N > 1 and no
+    ``--fabric`` is shorthand for a local process fabric; a process
+    fabric gets at least *min_jobs* workers.  *tracer* records the
+    fabric's ``fabric.map`` spans.  Raises :class:`ValueError` for
+    ``--fabric remote`` without a ``--workers`` URL.
+    """
+    kind = args.fabric or ("process" if args.jobs > 1 else None)
+    if kind == "serial":
+        from .fabric import SerialFabric
+
+        return SerialFabric(tracer=tracer)
+    if kind == "process":
+        from .fabric import ProcessFabric
+
+        return ProcessFabric(max(args.jobs, min_jobs), tracer=tracer)
+    if kind == "remote":
+        if not args.workers:
+            raise ValueError("--fabric remote needs at least one "
+                             "--workers URL")
+        from .fabric.remote import RemoteFabric
+
+        return RemoteFabric(args.workers, tracer=tracer)
+    return None
+
+
 def _cmd_resynth(args) -> int:
     from .io import save_bench
     from .obs import Tracer
@@ -99,27 +127,14 @@ def _cmd_resynth(args) -> int:
         from .memo import MemoStore
 
         memo = MemoStore(args.memo)
-    fabric = None
-    if args.fabric == "serial":
-        from .fabric import SerialFabric
-
-        fabric = SerialFabric()
-    elif args.fabric == "process":
-        from .fabric import ProcessFabric
-
-        fabric = ProcessFabric(max(args.jobs, 1))
-    elif args.fabric == "remote":
-        if not args.workers:
-            print("error: --fabric remote needs at least one --workers URL",
-                  file=sys.stderr)
-            return 2
-        from .fabric.remote import RemoteFabric
-
-        fabric = RemoteFabric(args.workers)
+    try:
+        fabric = _make_fabric(args, tracer=tracer)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         report = proc(circuit, k=args.k, verify_patterns=args.verify,
-                      jobs=args.jobs, tracer=tracer, memo=memo,
-                      fabric=fabric)
+                      tracer=tracer, memo=memo, fabric=fabric)
     finally:
         if fabric is not None:
             fabric.close()
@@ -170,23 +185,11 @@ def _cmd_sweep(args) -> int:
     except SweepSpecError as exc:
         print(f"error: invalid sweep grid: {exc}", file=sys.stderr)
         return 2
-    fabric = None
-    if args.fabric == "serial":
-        from .fabric import SerialFabric
-
-        fabric = SerialFabric()
-    elif args.fabric == "process":
-        from .fabric import ProcessFabric
-
-        fabric = ProcessFabric(max(args.jobs, 2))
-    elif args.fabric == "remote":
-        if not args.workers:
-            print("error: --fabric remote needs at least one --workers URL",
-                  file=sys.stderr)
-            return 2
-        from .fabric.remote import RemoteFabric
-
-        fabric = RemoteFabric(args.workers)
+    try:
+        fabric = _make_fabric(args, min_jobs=2)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = args.out or os.path.join(".repro-sweep", spec.sweep_id)
     print(spec.describe())
 
@@ -383,7 +386,6 @@ def _cmd_serve(args) -> int:
         ServiceServer,
         SupervisorConfig,
         TenantRegistry,
-        ThreadedServiceServer,
     )
 
     store = ArtifactStore(args.root)
@@ -394,50 +396,28 @@ def _cmd_serve(args) -> int:
         memo_url=args.memo_url,
         fabric_workers=tuple(args.fabric_workers),
     )
-    if args.frontend == "threaded":
-        if args.tenants or args.queue_limit:
-            print("error: --tenants/--queue-limit need the async front "
-                  "end (--frontend async)", file=sys.stderr)
+    if args.tenants:
+        try:
+            # Validate up front for a clean CLI error; the path is handed
+            # to the server too, which hot-reloads edits (rejected
+            # reloads keep the old registry).
+            TenantRegistry.from_file(args.tenants)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        server = ThreadedServiceServer(
-            store, host=args.host, port=args.port, config=config,
-            max_workers=args.workers, verbose=args.verbose,
-            task_workers=args.task_workers,
-        )
-    else:
-        if args.tenants:
-            try:
-                # Validate up front for a clean CLI error; the path is
-                # handed to the server too, which hot-reloads edits
-                # (rejected reloads keep the old registry).
-                TenantRegistry.from_file(args.tenants)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        server = ServiceServer(
-            store, host=args.host, port=args.port, config=config,
-            max_workers=args.workers, verbose=args.verbose,
-            task_workers=args.task_workers,
-            queue_limit=args.queue_limit,
-            tenants_file=args.tenants or None,
-        )
+    server = ServiceServer(
+        store, host=args.host, port=args.port, config=config,
+        max_workers=args.workers, verbose=args.verbose,
+        task_workers=args.task_workers,
+        queue_limit=args.queue_limit,
+        tenants_file=args.tenants or None,
+    )
     memo_note = f", memo: {args.memo}" if args.memo else ""
     task_note = (f", task-workers: {args.task_workers}"
                  if args.task_workers else "")
     tenant_note = (f", tenants: {args.tenants}" if args.tenants else "")
     queue_note = (f", queue-limit: {args.queue_limit}"
                   if args.queue_limit else "")
-    if args.frontend == "threaded":
-        # The threaded server binds in its constructor; the async one
-        # binds in start(), so print after it is listening.
-        print(f"repro.service listening on {server.url} "
-              f"(store: {store.root}, workers: {args.workers}"
-              f"{memo_note}{task_note})")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down")
-        return 0
     try:
         server.start()
     except OSError as exc:
@@ -602,8 +582,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                    default="gates")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for candidate evaluation "
-                        "(default 1 = serial; results are identical)")
+                   help="worker processes for candidate evaluation: "
+                        "N > 1 without --fabric means a process fabric "
+                        "(default 1 = inline; results are identical)")
     p.add_argument("--out")
     p.add_argument("--verify", type=int, default=512)
     p.add_argument("--trace", metavar="FILE",
@@ -739,11 +720,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--queue-limit", type=int, default=0, metavar="N",
                    help="bound the admission queue at N jobs; beyond it "
                         "submits get 429 + Retry-After (0 = unbounded)")
-    p.add_argument("--frontend", choices=("async", "threaded"),
-                   default="async",
-                   help="HTTP front end: the asyncio default or the "
-                        "legacy thread-per-request server (no SSE, "
-                        "batch or tenant routes)")
     p.add_argument("--verbose", action="store_true",
                    help="log HTTP requests")
     p.set_defaults(func=_cmd_serve)

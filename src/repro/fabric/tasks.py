@@ -10,19 +10,21 @@ in-memory payload — so the wire round-trip must be *lossless*: a decoded
 payload runs to exactly the result the in-memory payload would have
 produced.  ``tests/fabric/test_wire.py`` pins that round-trip.
 
-The production kinds wrap the pickling-boundary functions of
-:mod:`repro.parallel.worker` (unchanged — they remain the complete
-semantic boundary of candidate evaluation):
+The two candidate-evaluation kinds are the complete pickling boundary
+of :mod:`repro.parallel`: each runs, item by item, the same pure
+function the serial sweep calls inline, so a worker needs no circuit, no
+session and no shared state:
 
 ``extract``
-    Cone slices to truth tables (``extract_chunk``).  Payload items are
-    ``(cone_signature, n_inputs)`` pairs; results are
+    Cone slices to truth tables
+    (:func:`~repro.sim.truthtable.signature_truth_table`).  Payload
+    items are ``(cone_signature, n_inputs)`` pairs; results are
     ``(signature, n, table)`` rows.
 ``identify``
     Unique tables to comparison-function search results
-    (``identify_chunk``).  Payload carries the ``(table, n)`` items plus
-    the pass's identification knobs; results are
-    ``(table, n, hits, tried)`` rows.
+    (:func:`~repro.comparison.identify.identify_positions`).  Payload
+    carries the ``(table, n)`` items plus the pass's identification
+    knobs; results are ``(table, n, hits, tried)`` rows.
 
 Wire-format notes (docs/FABRIC.md has the full reference):
 
@@ -47,9 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from ..comparison.identify import identify_positions
+from ..sim.truthtable import signature_truth_table
 from .core import FabricTask
 
 __all__ = [
+    "InjectedWorkerCrash",
     "TaskKind",
     "decode_task",
     "encode_task",
@@ -220,13 +225,21 @@ def _decode_int(value: object, what: str) -> int:
 # --------------------------------------------------------------------- #
 
 
-def _run_extract(payload: Dict[str, object]) -> List[Tuple]:
-    # Imported lazily: the planner package imports the fabric, so the
-    # fabric must not import the planner package at module scope.
-    from ..parallel.worker import extract_chunk
+class InjectedWorkerCrash(RuntimeError):
+    """Deliberate failure raised by the ``inject_crash`` payload knob."""
 
-    return extract_chunk(payload["items"],
-                         inject_crash=bool(payload.get("inject_crash")))
+
+def _maybe_crash(payload: Dict[str, object]) -> None:
+    if payload.get("inject_crash"):
+        raise InjectedWorkerCrash(
+            "injected worker crash (parallel fault-injection knob)"
+        )
+
+
+def _run_extract(payload: Dict[str, object]) -> List[Tuple]:
+    _maybe_crash(payload)
+    return [(sig, n, signature_truth_table(sig, n))
+            for sig, n in payload["items"]]
 
 
 def _encode_extract_payload(payload: Dict[str, object]) -> object:
@@ -289,16 +302,12 @@ _IDENTIFY_KNOBS = ("perm_budget", "try_offset", "seed", "max_specs")
 
 
 def _run_identify(payload: Dict[str, object]) -> List[Tuple]:
-    from ..parallel.worker import identify_chunk
-
-    return identify_chunk(
-        payload["items"],
-        payload["perm_budget"],
-        payload["try_offset"],
-        payload["seed"],
-        payload["max_specs"],
-        inject_crash=bool(payload.get("inject_crash")),
-    )
+    # The knobs are those of the pass being primed, so each search is
+    # argument-for-argument the one the serial sweep would run.
+    _maybe_crash(payload)
+    knobs = [payload[knob] for knob in _IDENTIFY_KNOBS]
+    return [(table, n) + identify_positions(table, n, *knobs)
+            for table, n in payload["items"]]
 
 
 def _encode_identify_payload(payload: Dict[str, object]) -> object:

@@ -29,8 +29,8 @@ inside this module) and :class:`~repro.fabric.RemoteFabric` (a worker
 fleet over HTTP).  ``docs/PARALLEL.md`` documents the planner;
 ``docs/FABRIC.md`` documents the execution layer.
 
-**Determinism contract.**  Reports are bit-identical at any ``--jobs``
-value, on any fabric backend, at any shard count, because workers only
+**Determinism contract.**  Reports are bit-identical with or without a
+fabric, on any fabric backend, at any shard count, because workers only
 ever compute pure functions the sweep would otherwise compute inline: a
 cache hit is indistinguishable from a local evaluation, merge order
 cannot matter (equal keys hold equal values), and every selection
@@ -49,25 +49,16 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis import AnalysisSession
 from ..comparison.identify import identification_cache, identification_key
-from ..fabric.core import (
-    Fabric,
-    FabricExecutionError,
-    FabricTask,
-    ProcessFabric,
-    preferred_start_method,
-)
+from ..fabric.core import Fabric, FabricExecutionError, FabricTask
 from ..netlist import Circuit, GateType
 from ..obs import Registry, get_registry, maybe_tracer
 from ..resynth.candidates import enumerate_candidate_cones
 from ..sim import cone_signature
-from .worker import CandidateReport
 
 __all__ = [
-    "CandidateReport",
     "ParallelEvaluator",
     "ParallelExecutionError",
     "PassPrimeStats",
-    "preferred_start_method",
 ]
 
 
@@ -75,9 +66,10 @@ class ParallelExecutionError(FabricExecutionError):
     """Candidate evaluation failed on the fabric during priming.
 
     Raised by :meth:`ParallelEvaluator.prime_pass` with the fabric's
-    exception chained, after the evaluator's own fabric (if it owns one)
-    has been torn down — a crashed worker surfaces as one clean error
-    instead of a hang or a corrupted sweep.  Subclasses
+    exception chained — a crashed worker surfaces as one clean error
+    instead of a hang or a corrupted sweep (a
+    :class:`~repro.fabric.ProcessFabric` whose pool broke has already
+    torn it down, so the next pass starts from a fresh one).  Subclasses
     :class:`~repro.fabric.FabricExecutionError` so callers may catch at
     either layer.
     """
@@ -101,20 +93,16 @@ class ParallelEvaluator:
 
     Parameters
     ----------
-    jobs:
-        Worker count for the evaluator's own
-        :class:`~repro.fabric.ProcessFabric` (must be >= 1; 1 is allowed
-        and simply runs one worker, which is useful for tests).  Ignored
-        for execution when *fabric* is given, but still validated.
+    fabric:
+        The :class:`~repro.fabric.Fabric` tasks run on (serial, local
+        process pool or remote fleet).  The evaluator never closes it:
+        the fabric belongs to whoever created it and may outlive the run.
     chunk_factor:
         Shards per unit of fabric parallelism per round (the
         ``chunk_factor`` handed to
         :meth:`~repro.fabric.Fabric.shard_count`).  More shards smooth
         load imbalance between cheap and expensive cones; each shard
         carries its own (small) serialization overhead.
-    start_method:
-        Multiprocessing start method for the owned process fabric;
-        defaults to :func:`~repro.fabric.preferred_start_method`.
     inject_crash:
         Test-only: makes every worker raise immediately, to exercise the
         :class:`ParallelExecutionError` path deterministically (the knob
@@ -128,83 +116,28 @@ class ParallelEvaluator:
         A :class:`repro.obs.Registry` receiving the planner metrics
         (cones/tables/identifications counters; the fabric adds its own
         ``fabric_*`` series); default: the process-wide registry.
-    fabric:
-        An externally-owned :class:`~repro.fabric.Fabric` to execute on
-        (e.g. a :class:`~repro.fabric.RemoteFabric`).  The evaluator
-        never closes a caller-provided fabric; without one it lazily
-        creates — and owns — a process fabric from *jobs* /
-        *start_method*.
 
-    The owned fabric's pool is created lazily on the first
-    :meth:`prime_pass` and torn down by :meth:`close` (the evaluator is
-    also a context manager).  :attr:`prime_seconds` accumulates each
-    call's wall clock (the procedures publish it as the report's
+    :attr:`prime_seconds` accumulates each :meth:`prime_pass` call's
+    wall clock (the procedures publish it as the report's
     ``timings["prime_seconds"]``).
     """
 
     def __init__(
         self,
-        jobs: int,
+        fabric: Fabric,
         chunk_factor: int = 4,
-        start_method: Optional[str] = None,
         inject_crash: bool = False,
         tracer=None,
         registry: Optional[Registry] = None,
-        fabric: Optional[Fabric] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if chunk_factor < 1:
             raise ValueError(f"chunk_factor must be >= 1, got {chunk_factor}")
-        self.jobs = jobs
+        self.fabric = fabric
         self.chunk_factor = chunk_factor
-        self.start_method = start_method or preferred_start_method()
         self.inject_crash = inject_crash
         self.tracer = maybe_tracer(tracer)
         self.registry = registry if registry is not None else get_registry()
         self.prime_seconds: List[float] = []
-        self._shared_fabric = fabric
-        self._owned_fabric: Optional[ProcessFabric] = None
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def fabric(self) -> Optional[Fabric]:
-        """The fabric tasks run on (``None`` until an owned one exists)."""
-        return self._shared_fabric or self._owned_fabric
-
-    def _get_fabric(self) -> Fabric:
-        if self._shared_fabric is not None:
-            return self._shared_fabric
-        if self._owned_fabric is None:
-            self._owned_fabric = ProcessFabric(
-                self.jobs,
-                start_method=self.start_method,
-                tracer=self.tracer,
-                registry=self.registry,
-            )
-        return self._owned_fabric
-
-    def close(self) -> None:
-        """Shut the owned fabric down (idempotent).
-
-        A caller-provided fabric is the caller's to close — it may be
-        serving other evaluators or outlive this pass entirely.
-        """
-        if self._owned_fabric is not None:
-            self._owned_fabric.close()
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # the per-pass fan-out
-    # ------------------------------------------------------------------ #
 
     def _map_chunks(self, kind: str, items: List, knobs: Dict, seed: int):
         """Fan *items* out over the fabric; return merged rows + shard count.
@@ -212,11 +145,9 @@ class ParallelEvaluator:
         Rows come back in deterministic (task) order, although the merge
         order cannot matter: every row is a pure-function value keyed by
         its own arguments, so equal keys always carry equal values.  A
-        failing round tears down the evaluator's owned fabric (so any
-        later pass starts from a clean pool) and surfaces as one
-        :class:`ParallelExecutionError`.
+        failing round surfaces as one :class:`ParallelExecutionError`.
         """
-        fabric = self._get_fabric()
+        fabric = self.fabric
         n_chunks = fabric.shard_count(len(items), self.chunk_factor)
         tasks = []
         for i in range(n_chunks):
@@ -228,7 +159,6 @@ class ParallelEvaluator:
         try:
             chunk_rows = fabric.map(tasks)
         except FabricExecutionError as exc:
-            self.close()
             raise ParallelExecutionError(
                 f"parallel candidate evaluation failed while priming the "
                 f"pass with seed {seed} ({n_chunks} {kind} shard(s) on the "

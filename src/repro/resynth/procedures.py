@@ -18,12 +18,12 @@ best replacement is applied:
 Each procedure repeats whole passes until a pass makes no change (the
 paper: "applied repeatedly until no more improvements are possible").
 
-With ``jobs > 1`` the expensive per-candidate work of each pass — truth
-tables and comparison-function identification — is fanned out over a
-process pool before the sweep runs (:mod:`repro.parallel`), while every
-replacement decision and commit stays in this module, in serial order,
-against the :class:`~repro.analysis.AnalysisSession`'s current labels.
-Reports are bit-identical at any ``jobs`` value; see ``docs/PARALLEL.md``.
+With a ``fabric`` the expensive per-candidate work of each pass — truth
+tables and comparison-function identification — is fanned out over it
+before the sweep runs (:mod:`repro.parallel`), while every replacement
+decision and commit stays in this module, in serial order, against the
+:class:`~repro.analysis.AnalysisSession`'s current labels.  Reports are
+bit-identical with or without one; see ``docs/PARALLEL.md``.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .replace import (
 class ResynthesisReport:
     """Result of running a resynthesis procedure.
 
-    All fields except the wall-clock ``timings`` mapping are
-    deterministic: bit-identical at any ``jobs`` value and across
+    All fields except ``jobs`` and the wall-clock ``timings`` mapping
+    are deterministic: bit-identical on any fabric and across
     checkpoint/resume (see docs/PARALLEL.md and docs/SERVICE.md).
     Determinism comparisons must therefore use
     :data:`REPORT_NUMBER_FIELDS`, never the timing fields.
@@ -68,8 +68,8 @@ class ResynthesisReport:
     stage keys as they apply: ``setup_seconds`` (decompose + initial
     path labels of this process's portion), ``verify_seconds`` (per-pass
     inline verification, when ``verify_patterns`` is on) and
-    ``prime_seconds`` (per-pass parallel cache priming, when
-    ``jobs > 1``).  The historical ``pass_seconds``/``total_seconds``
+    ``prime_seconds`` (per-pass parallel cache priming, when a fabric
+    is given).  The historical ``pass_seconds``/``total_seconds``
     attributes remain as derived read-only properties.
     """
 
@@ -83,7 +83,7 @@ class ResynthesisReport:
     paths_before: int
     paths_after: int
     mutations: int = 0  # circuit mutation events observed during the run
-    jobs: int = 1  # worker processes used for candidate evaluation
+    jobs: int = 1  # parallelism of the candidate-evaluation fabric
     timings: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -124,7 +124,7 @@ class ResynthesisReport:
         )
 
 
-#: Deterministic report fields: equal across ``jobs`` values and across
+#: Deterministic report fields: equal on every fabric and across
 #: checkpoint/resume.  Oracles and benchmarks compare exactly these.
 REPORT_NUMBER_FIELDS = (
     "objective", "k", "passes", "replacements", "gates_before",
@@ -252,7 +252,7 @@ def _resynthesis_pass(
     reflected immediately.
 
     When an *evaluator* is given, the pass-start candidate cones are
-    evaluated by its worker pool first (:mod:`repro.parallel`); the sweep
+    evaluated on its fabric first (:mod:`repro.parallel`); the sweep
     below then mostly hits the warmed caches.  Cones that only come into
     existence mid-pass miss the caches and are evaluated inline, exactly
     as in a serial run, so the selected replacements are identical.
@@ -371,7 +371,6 @@ def _run(
     verify_patterns: int,
     decompose: bool = True,
     exact: bool = False,
-    jobs: int = 1,
     on_pass: Optional[PassHook] = None,
     resume: Optional[PassCheckpoint] = None,
     tracer=None,
@@ -379,8 +378,6 @@ def _run(
     memo=None,
     fabric=None,
 ) -> ResynthesisReport:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tracer = maybe_tracer(tracer)
     if registry is None:
         registry = get_registry()
@@ -390,19 +387,16 @@ def _run(
 
         memo = MemoStore(memo, registry=registry)
     evaluator = None
+    jobs = 1
     if fabric is not None:
-        # An explicit fabric always primes, even at jobs=1: the caller
+        # A fabric always primes, whatever its parallelism: the caller
         # chose where candidate evaluation runs (repro.parallel imports
         # from repro.resynth, so the import is lazy to stay acyclic).
         from ..parallel import ParallelEvaluator
 
-        evaluator = ParallelEvaluator(max(jobs, 1), fabric=fabric,
-                                      tracer=tracer, registry=registry)
-    elif jobs > 1:
-        from ..parallel import ParallelEvaluator
-
-        evaluator = ParallelEvaluator(jobs, tracer=tracer,
+        evaluator = ParallelEvaluator(fabric, tracer=tracer,
                                       registry=registry)
+        jobs = fabric.parallelism
     registry.inc("resynth_runs_total")
     run_start = time.perf_counter()
     run_span = tracer.span("run", circuit=circuit.name, objective=objective,
@@ -442,8 +436,7 @@ def _run(
                 seconds_prior = 0.0
                 done = False
             epoch_base = work.epoch
-            session = AnalysisSession(work, registry=registry, memo=memo,
-                                      fabric=fabric)
+            session = AnalysisSession(work, registry=registry, memo=memo)
         verify_seconds: List[float] = []
         try:
             with tracer.span("setup.labels"):
@@ -514,8 +507,6 @@ def _run(
             paths_after = session.total_paths()
         finally:
             session.close()
-            if evaluator is not None:
-                evaluator.close()
         run_span.annotate(passes=passes, replacements=total_replacements)
     work.name = circuit.name
     timings: Dict[str, object] = {
@@ -554,7 +545,6 @@ def procedure2(
     verify_patterns: int = 0,
     decompose: bool = True,
     exact: bool = False,
-    jobs: int = 1,
     on_pass: Optional[PassHook] = None,
     resume: Optional[PassCheckpoint] = None,
     tracer=None,
@@ -575,9 +565,6 @@ def procedure2(
     verify_patterns:
         When nonzero, each pass is checked against the original circuit on
         this many random patterns (defense in depth; raises on mismatch).
-    jobs:
-        Worker processes for candidate evaluation (1 = fully serial; the
-        report is bit-identical either way, see :mod:`repro.parallel`).
     on_pass:
         Progress/checkpoint hook, called with a :class:`PassCheckpoint`
         after every pass (the service layer persists these).
@@ -603,14 +590,15 @@ def procedure2(
     fabric:
         Optional :class:`repro.fabric.Fabric` to run candidate
         evaluation on (serial, local process pool, or a remote worker
-        fleet — docs/FABRIC.md).  The report is bit-identical on every
-        backend at any shard count; the caller owns the fabric's
-        lifecycle.  Without one, ``jobs > 1`` creates a process fabric
-        internally, as before.
+        fleet — docs/FABRIC.md): each pass is primed on it
+        (:mod:`repro.parallel`).  The report is bit-identical on every
+        backend at any shard count, and to a run without a fabric, which
+        evaluates everything inline.  The caller owns the fabric's
+        lifecycle; the report's ``jobs`` records its parallelism.
     """
     return _run(
         circuit, _select_for_gates, "gates", k, perm_budget, seed,
-        max_passes, verify_patterns, decompose, exact, jobs,
+        max_passes, verify_patterns, decompose, exact,
         on_pass, resume, tracer, registry, memo, fabric,
     )
 
@@ -624,7 +612,6 @@ def procedure3(
     verify_patterns: int = 0,
     decompose: bool = True,
     exact: bool = False,
-    jobs: int = 1,
     on_pass: Optional[PassHook] = None,
     resume: Optional[PassCheckpoint] = None,
     tracer=None,
@@ -635,13 +622,13 @@ def procedure3(
     """Procedure 3: reduce the number of paths (gate count unconstrained).
 
     ``exact=True`` augments identification with the exact decision
-    procedure (see :func:`repro.resynth.evaluate_cone`); ``jobs``,
-    ``on_pass``, ``resume``, ``tracer``, ``registry``, ``memo`` and
-    ``fabric`` behave as in :func:`procedure2`.
+    procedure (see :func:`repro.resynth.evaluate_cone`); ``on_pass``,
+    ``resume``, ``tracer``, ``registry``, ``memo`` and ``fabric`` behave
+    as in :func:`procedure2`.
     """
     return _run(
         circuit, _select_for_paths, "paths", k, perm_budget, seed,
-        max_passes, verify_patterns, decompose, exact, jobs,
+        max_passes, verify_patterns, decompose, exact,
         on_pass, resume, tracer, registry, memo, fabric,
     )
 
@@ -655,7 +642,6 @@ def combined_procedure(
     max_passes: int = 10,
     verify_patterns: int = 0,
     decompose: bool = True,
-    jobs: int = 1,
     on_pass: Optional[PassHook] = None,
     resume: Optional[PassCheckpoint] = None,
     tracer=None,
@@ -672,7 +658,6 @@ def combined_procedure(
     return _run(
         circuit, _make_combined_selector(gate_weight),
         f"combined(w={gate_weight})", k, perm_budget, seed, max_passes,
-        verify_patterns, decompose, jobs=jobs, on_pass=on_pass,
-        resume=resume, tracer=tracer, registry=registry, memo=memo,
-        fabric=fabric,
+        verify_patterns, decompose, on_pass=on_pass, resume=resume,
+        tracer=tracer, registry=registry, memo=memo, fabric=fabric,
     )

@@ -15,9 +15,7 @@ stdlib ASGI host in :mod:`aserver`): long-poll and SSE event streaming
 on connection-cheap coroutines, batch submit, per-tenant API-key auth
 with quotas and priorities (:mod:`tenants`), bounded-queue backpressure
 (429 + ``Retry-After``), and listings answered from a SQLite metadata
-index (:mod:`index`) rebuilt from the store at startup.  The original
-thread-per-request front end survives as
-:class:`ThreadedServiceServer` — the determinism reference.
+index (:mod:`index`) rebuilt from the store at startup.
 
 Entry points: ``repro-resynth serve`` / ``submit`` / ``jobs`` /
 ``result`` on the CLI, :class:`ServiceServer` in-process.  The full
@@ -25,7 +23,7 @@ lifecycle, checkpoint format and determinism contract are documented in
 ``docs/SERVICE.md``; deployment and operations in ``docs/OPERATIONS.md``.
 """
 
-from .api import ResynthesisService, ThreadedServiceServer
+from .api import ResynthesisService
 from .asgi import API_VERSION, ServiceApp, ServiceServer
 from .client import ServiceAPIError, ServiceClient, ServiceConnectionError
 from .index import JobIndex, default_index_path
@@ -78,7 +76,6 @@ __all__ = [
     "TERMINAL_STATES",
     "Tenant",
     "TenantRegistry",
-    "ThreadedServiceServer",
     "WorkerSupervisor",
     "default_index_path",
     "default_worker_command",

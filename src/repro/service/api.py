@@ -1,37 +1,14 @@
-"""The resynthesis job service engine and its legacy threaded front end.
+"""The resynthesis job service engine.
 
-Two layers:
-
-* :class:`ResynthesisService` — the in-process engine: a bounded,
-  tenant-aware priority admission queue over the artifact store, a
-  scheduler thread that leases queued jobs to supervisor threads (each
-  of which drives one worker subprocess), the SQLite job index
-  (:mod:`repro.service.index`) that answers listings without touching
-  per-job directories, and the metrics registry.  Usable without HTTP;
-  the CLI and tests drive it directly.
-* :class:`ThreadedServiceServer` — the original ``ThreadingHTTPServer``
-  front end, kept for comparison runs and as the determinism reference
-  (one OS thread per in-flight request; no SSE, batch or tenant
-  routes).  The default front end is now the asyncio one —
-  :class:`repro.service.asgi.ServiceServer` — which serves a superset
-  of these endpoints::
-
-      POST /jobs                  submit a spec -> {"id", "state", "created"}
-      GET  /jobs                  list all jobs
-      GET  /jobs/<id>             status + spec + progress
-      GET  /jobs/<id>/events      event log; ?after=N&wait=S long-polls
-      GET  /jobs/<id>/report      final report (netlist embedded)
-      GET  /jobs/<id>/result      result netlist document only
-      GET  /metrics               JSON snapshot (default) or Prometheus
-                                  text exposition when Accept prefers it
-      POST /tasks                 execute fabric task documents
-                                  (``--task-workers N``; docs/FABRIC.md)
-      GET  /memo/<id>             one identification-memo entry document
-      PUT  /memo/<id>             merge an entry into the server's memo
-                                  (both need ``--memo DIR``; docs/MEMO.md)
-
-  Errors are JSON too: 400 for malformed specs/queries, 404 for unknown
-  ids or routes.  See docs/SERVICE.md for the full reference.
+:class:`ResynthesisService` is the in-process engine: a bounded,
+tenant-aware priority admission queue over the artifact store, a
+scheduler thread that leases queued jobs to supervisor threads (each of
+which drives one worker subprocess), the SQLite job index
+(:mod:`repro.service.index`) that answers listings without touching
+per-job directories, and the metrics registry.  Usable without HTTP;
+the CLI and tests drive it directly.  The HTTP front end is
+:class:`repro.service.asgi.ServiceServer`, which routes every request
+onto one instance of it (docs/SERVICE.md has the full route reference).
 
 The ``/tasks`` endpoint is what turns a fleet of ``serve`` processes
 into :class:`~repro.fabric.RemoteFabric` workers: each request carries a
@@ -39,8 +16,7 @@ batch of wire-encoded pure-function tasks, executed on the service's own
 task fabric (serial for ``--task-workers 1``, a process pool above
 that) with per-task outcomes reported — retry policy stays with the
 *calling* fabric, which knows whether a failure was the task or the
-transport.  The ``/memo`` routes are the first slice of the
-memo-over-the-network roadmap item: remote workers share one
+transport.  The ``/memo`` routes let remote workers share one
 authoritative :class:`~repro.memo.MemoStore` without a shared
 filesystem (client side: :class:`repro.memo.remote.RemoteMemo`).
 """
@@ -48,21 +24,18 @@ filesystem (client side: :class:`repro.memo.remote.RemoteMemo`).
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
 from ..fabric.core import Fabric, ProcessFabric, SerialFabric
 from ..fabric.tasks import decode_task, encode_result
-from ..obs import PROMETHEUS_CONTENT_TYPE, Registry, render_prometheus
+from ..obs import Registry
 from .index import JobIndex, default_index_path
-from .jobspec import JobSpec, JobSpecError, spec_from_doc
-from .store import ArtifactStore, StoreError, TERMINAL_STATES
+from .jobspec import JobSpec
+from .store import ArtifactStore
 from .supervisor import SupervisorConfig, WorkerSupervisor
 from .tenants import (
     BackpressureError,
@@ -455,12 +428,7 @@ class ResynthesisService:
 
     def _supervise(self, job_id: str, supervisor: WorkerSupervisor) -> None:
         try:
-            outcome = supervisor.supervise(job_id)
-            if outcome.state == "succeeded":
-                report = self.store.load_report(job_id)
-                if report is not None:
-                    for seconds in report.pass_seconds:
-                        self.metrics.observe("service_pass_seconds", seconds)
+            supervisor.supervise(job_id)
         finally:
             with self._lock:
                 self._active.pop(job_id, None)
@@ -571,302 +539,3 @@ class ResynthesisService:
         """
         tenants, states, total = self.index.summary()
         return {"total": total, "tenants": tenants, "states": states}
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the service (one instance per request)."""
-
-    server_version = "repro-service/1"
-    protocol_version = "HTTP/1.1"
-
-    # Populated by ThreadedServiceServer via a subclass attribute.
-    service: ResynthesisService = None  # type: ignore[assignment]
-
-    def log_message(self, fmt: str, *args: object) -> None:
-        if getattr(self.server, "verbose", False):
-            super().log_message(fmt, *args)
-
-    # -- plumbing ------------------------------------------------------- #
-
-    def _send_body(self, code: int, body: bytes,
-                   content_type: str) -> None:
-        """Send one response with the *per-endpoint* content type.
-
-        (Historically the handler hardcoded ``application/json`` for
-        every response; the Prometheus exposition endpoint needs
-        ``text/plain; version=0.0.4``.)
-        """
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, code: int, doc: object) -> None:
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self._send_body(code, body, "application/json")
-
-    def _error(self, code: int, message: str) -> None:
-        self.service.metrics.inc("service_http_errors_total")
-        self._send_json(code, {"error": message})
-
-    def _read_json_body(self) -> object:
-        """The request body parsed as JSON (ValueError on anomalies)."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise ValueError("bad Content-Length") from None
-        raw = self.rfile.read(length) if length else b""
-        try:
-            return json.loads(raw.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"request body is not JSON: {exc}") from None
-
-    # -- routes --------------------------------------------------------- #
-
-    def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self.service.metrics.inc("service_http_requests_total")
-        parsed = urlparse(self.path)
-        path = parsed.path.rstrip("/")
-        if path == "/jobs":
-            self._submit_job()
-        elif path == "/tasks":
-            self._run_tasks()
-        else:
-            self._error(404, f"no such route: POST {parsed.path}")
-
-    def _submit_job(self) -> None:
-        try:
-            doc = self._read_json_body()
-            spec = spec_from_doc(doc)
-        except (JobSpecError, ValueError) as exc:
-            self._error(400, f"invalid job spec: {exc}")
-            return
-        job_id, created = self.service.submit(spec)
-        state = self.service.store.status(job_id).get("state")
-        self._send_json(201 if created else 200, {
-            "id": job_id, "state": state, "created": created,
-        })
-
-    def _run_tasks(self) -> None:
-        """``POST /tasks``: execute a fabric task batch (docs/FABRIC.md)."""
-        if self.service.task_fabric is None:
-            self._error(404, "task execution not enabled "
-                             "(start with serve --task-workers N)")
-            return
-        try:
-            doc = self._read_json_body()
-        except ValueError as exc:
-            self._error(400, str(exc))
-            return
-        if not isinstance(doc, dict) or not isinstance(
-                doc.get("tasks"), list):
-            self._error(400, "request body is not {'tasks': [...]}")
-            return
-        try:
-            rows = self.service.run_tasks(doc["tasks"])
-        except ValueError as exc:
-            self._error(400, f"invalid task document: {exc}")
-            return
-        self._send_json(200, {"results": rows})
-
-    def do_PUT(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self.service.metrics.inc("service_http_requests_total")
-        parsed = urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
-        if len(parts) != 2 or parts[0] != "memo":
-            self._error(404, f"no such route: PUT {parsed.path}")
-            return
-        store = self.service.memo_store
-        if store is None:
-            self._error(404, "memo not enabled (start with serve --memo DIR)")
-            return
-        try:
-            doc = self._read_json_body()
-            merged = store.merge_entry_doc(parts[1], doc)
-        except (ValueError, KeyError, TypeError) as exc:
-            self._error(400, f"invalid memo entry: {exc}")
-            return
-        self._send_json(200, {"merged": merged})
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self.service.metrics.inc("service_http_requests_total")
-        parsed = urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
-        query = parse_qs(parsed.query)
-        try:
-            if parts == ["metrics"]:
-                self._metrics()
-            elif parts == ["jobs"]:
-                self._send_json(200, {"jobs": self.service.list_view()})
-            elif len(parts) == 2 and parts[0] == "jobs":
-                self._send_json(200, self.service.job_view(parts[1]))
-            elif len(parts) == 3 and parts[0] == "jobs":
-                self._job_subresource(parts[1], parts[2], query)
-            elif len(parts) == 2 and parts[0] == "memo":
-                self._memo_entry(parts[1])
-            else:
-                self._error(404, f"no such route: GET {parsed.path}")
-        except StoreError as exc:
-            self._error(404, str(exc))
-
-    def _metrics(self) -> None:
-        """``GET /metrics``: JSON snapshot or Prometheus exposition.
-
-        The historical JSON document stays the default (no ``Accept``
-        header, ``*/*``, ``application/json`` — every existing client).
-        Prometheus text exposition is served when the client *prefers*
-        a plain-text flavour: ``Accept: text/plain`` or
-        ``application/openmetrics-text`` with a q-value strictly above
-        any JSON alternative.
-        """
-        registry = self.service.metrics
-        if _accepts_prometheus(self.headers.get("Accept")):
-            body = render_prometheus(registry).encode("utf-8")
-            self._send_body(200, body, PROMETHEUS_CONTENT_TYPE)
-        else:
-            self._send_json(200, registry.snapshot())
-
-    def _memo_entry(self, class_id: str) -> None:
-        """``GET /memo/<id>``: one raw entry document, 404 when absent.
-
-        Served verbatim — the requesting :class:`~repro.memo.RemoteMemo`
-        validates against the key it computed, which is where corruption
-        must be caught to be meaningful.
-        """
-        store = self.service.memo_store
-        if store is None:
-            self._error(404, "memo not enabled (start with serve --memo DIR)")
-            return
-        doc = store.load_entry_doc(class_id)
-        if doc is None:
-            self._error(404, f"no memo entry {class_id!r}")
-            return
-        self._send_json(200, doc)
-
-    def _job_subresource(self, job_id: str, leaf: str,
-                         query: Dict[str, List[str]]) -> None:
-        store = self.service.store
-        if leaf == "events":
-            self._events(job_id, query)
-        elif leaf == "report":
-            doc = store.load_report_doc(job_id)
-            if doc is None:
-                if not store.has_job(job_id):
-                    raise StoreError(f"unknown job {job_id!r}")
-                self._error(404, f"job {job_id} has no report yet "
-                                 f"(state: {store.status(job_id)['state']})")
-            else:
-                self._send_json(200, doc)
-        elif leaf == "result":
-            doc = store.load_report_doc(job_id)
-            if doc is None:
-                if not store.has_job(job_id):
-                    raise StoreError(f"unknown job {job_id!r}")
-                self._error(404, f"job {job_id} has no result yet "
-                                 f"(state: {store.status(job_id)['state']})")
-            else:
-                self._send_json(200, doc["circuit"])
-        else:
-            raise StoreError(f"unknown job resource {leaf!r}")
-
-    def _events(self, job_id: str, query: Dict[str, List[str]]) -> None:
-        try:
-            after = int(query.get("after", ["0"])[0])
-            wait = min(float(query.get("wait", ["0"])[0]), MAX_EVENT_WAIT)
-        except ValueError:
-            self._error(400, "'after' must be an int, 'wait' a float")
-            return
-        store = self.service.store
-        deadline = time.time() + wait
-        while True:
-            events = store.events(job_id, after=after)  # 404s unknown ids
-            state = store.status(job_id).get("state")
-            # Terminal jobs emit no further events; return immediately so
-            # pollers do not burn their full wait on a finished job.
-            if events or state in TERMINAL_STATES or time.time() >= deadline:
-                break
-            time.sleep(0.05)
-        next_after = events[-1]["seq"] if events else after
-        self._send_json(200, {
-            "events": events, "next_after": next_after, "state": state,
-        })
-
-
-class ThreadedServiceServer:
-    """The legacy front end: a :class:`ResynthesisService` behind a
-    ``ThreadingHTTPServer`` (one OS thread per in-flight request).
-
-    Kept as the determinism reference and for comparison runs; new
-    deployments should use the asyncio front end
-    (:class:`repro.service.asgi.ServiceServer`, the package default),
-    which serves a superset of the routes — SSE streaming, batch
-    submit, tenant auth and backpressure — on connection-cheap
-    coroutines.  Reports are bit-identical across the two front ends
-    (pinned by ``tests/service/test_frontends.py``).
-    """
-
-    def __init__(
-        self,
-        store: ArtifactStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        config: Optional[SupervisorConfig] = None,
-        max_workers: int = 2,
-        verbose: bool = False,
-        task_workers: int = 0,
-    ) -> None:
-        self.service = ResynthesisService(
-            store, config=config, max_workers=max_workers,
-            task_workers=task_workers,
-        )
-        handler = type("BoundHandler", (_Handler,),
-                       {"service": self.service})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._httpd.verbose = verbose  # read by _Handler.log_message
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — port is concrete even when 0 was asked."""
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> None:
-        """Start the scheduler and the HTTP listener (background thread)."""
-        self.service.start()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-service-http",
-            kwargs={"poll_interval": 0.1}, daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop the HTTP listener, then the service."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-        self.service.stop(timeout=timeout)
-
-    def serve_forever(self) -> None:
-        """Foreground serving (the CLI's ``serve`` path); Ctrl-C stops."""
-        self.service.start()
-        try:
-            self._httpd.serve_forever(poll_interval=0.2)
-        finally:
-            self._httpd.server_close()
-            self.service.stop()
-
-    def __enter__(self) -> "ThreadedServiceServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -1,4 +1,4 @@
-"""The asyncio front end: ASGI application + the default ServiceServer.
+"""The asyncio front end: ASGI application + the ServiceServer.
 
 This is the multi-tenant, connection-cheap HTTP face of
 :class:`~repro.service.api.ResynthesisService` — versioned API ``v1``
@@ -46,9 +46,10 @@ per tick.
 and waits.
 
 *Determinism is untouched.*  The front end only admits, observes and
-serves artifacts; job execution is the same supervisor/worker path as
-the threaded front end, so reports are bit-identical across front ends
-(``tests/service/test_frontends.py``, ``scripts/service_smoke.py``).
+serves artifacts; job execution is the supervisor/worker path of
+:class:`~repro.service.api.ResynthesisService`, so a served report is
+bit-identical to an in-process run of the same spec
+(``scripts/service_smoke.py`` checks exactly that).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..fabric import ProcessFabric
 from ..resynth import combined_procedure, procedure2, procedure3
 from ..resynth.procedures import PassCheckpoint, ResynthesisReport
 from .jobspec import JobSpec, resolve_circuit
@@ -32,7 +33,6 @@ def procedure_call(spec: JobSpec):
         seed=spec.seed,
         max_passes=spec.max_passes,
         verify_patterns=spec.verify_patterns,
-        jobs=spec.jobs,
     )
     if spec.procedure == "procedure2":
         return lambda circuit, **kw: procedure2(circuit, **common, **kw)
@@ -71,7 +71,9 @@ def run_job(
     job's candidate evaluation (e.g. to a remote worker fleet, letting
     one service job fan its identification round across hosts).  Like
     the memo, it is execution placement, not job identity: reports are
-    bit-identical on any backend, so it stays out of the spec.
+    bit-identical on any backend, so it stays out of the spec.  Without
+    one, a spec with ``jobs > 1`` runs on a local process fabric of that
+    many workers, created for this call and closed before it returns.
     """
     spec = store.load_spec(job_id)
     circuit = resolve_circuit(spec)
@@ -99,9 +101,16 @@ def run_job(
         if progress is not None:
             progress()
 
-    proc = procedure_call(spec)
-    report = proc(circuit, on_pass=checkpoint_hook, resume=resume,
-                  memo=memo, fabric=fabric)
+    owned = None
+    if fabric is None and spec.jobs > 1:
+        fabric = owned = ProcessFabric(spec.jobs)
+    try:
+        report = procedure_call(spec)(circuit, on_pass=checkpoint_hook,
+                                      resume=resume, memo=memo,
+                                      fabric=fabric)
+    finally:
+        if owned is not None:
+            owned.close()
     store.write_report(job_id, report)
     store.append_event(
         job_id, "completed",

@@ -258,9 +258,14 @@ class WorkerSupervisor:
             self._metrics.observe("service_attempt_seconds",
                                   time.time() - job_start)
             if failure is None:
+                # Metrics first: a client that sees the status must also
+                # see the job in every metric the status implies.
+                report = store.load_report_doc(job_id) or {}
+                for seconds in report.get("pass_seconds", ()):
+                    self._metrics.observe("service_pass_seconds", seconds)
+                self._metrics.inc("service_jobs_succeeded_total")
                 store.set_status(job_id, "succeeded", attempts=attempts)
                 store.append_event(job_id, "state", state="succeeded")
-                self._metrics.inc("service_jobs_succeeded_total")
                 return JobOutcome(job_id, "succeeded", attempts)
             if failure is _STOPPED:
                 return self._stopped(job_id, attempts)
@@ -281,12 +286,12 @@ class WorkerSupervisor:
         error = self._store.read_worker_error(job_id)
         message = error["message"] if error else failure
         tb = error["traceback"] if error else None
+        self._metrics.inc("service_jobs_failed_total")
         store.set_status(
             job_id, "failed", attempts=attempts,
             error=message, traceback=tb, reason=failure,
         )
         store.append_event(job_id, "state", state="failed", error=message)
-        self._metrics.inc("service_jobs_failed_total")
         return JobOutcome(job_id, "failed", attempts,
                           error=message, traceback=tb)
 
@@ -294,7 +299,7 @@ class WorkerSupervisor:
         """Requeue the interrupted job; its checkpoints make the next
         service run resume it deterministically."""
         store = self._store
+        self._metrics.inc("service_jobs_stopped_total")
         store.set_status(job_id, "queued", attempts=attempts)
         store.append_event(job_id, "stopped", attempt=attempts)
-        self._metrics.inc("service_jobs_stopped_total")
         return JobOutcome(job_id, "stopped", attempts)

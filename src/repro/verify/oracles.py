@@ -31,11 +31,12 @@ executable check over a (usually randomly generated) instance:
     circuit (:mod:`repro.netlist.incremental` provides the ground-truth
     rebuilds).
 ``parallel``
-    Procedures 2 and 3 run with ``jobs=1`` and with a worker pool
-    (``jobs=2``) must produce bit-identical reports *and* bit-identical
-    result netlists — the :mod:`repro.parallel` determinism contract,
-    checked with the shared identification cache cleared between runs so
-    the parallel run genuinely consumes worker-computed results.
+    Procedures 2 and 3 run inline and on a two-worker process fabric
+    (the ``jobs=2`` leg) must produce bit-identical reports *and*
+    bit-identical result netlists — the :mod:`repro.parallel`
+    determinism contract, checked with the shared identification cache
+    cleared between runs so the parallel run genuinely consumes
+    worker-computed results.
 ``resume``
     A sweep killed after a random pass and resumed from its serialized
     checkpoint must produce a report and a result netlist bit-identical
@@ -46,8 +47,8 @@ executable check over a (usually randomly generated) instance:
 ``memo``
     Procedures 2 and 3 assisted by the persistent identification cache
     (:mod:`repro.memo`) — recording cold, replaying warm, replaying
-    after a JSON round-trip of every entry file, under ``jobs=2`` and
-    resumed from a checkpoint — must all be bit-identical to a memo-less
+    after a JSON round-trip of every entry file, on a two-worker process
+    fabric and resumed from a checkpoint — must all be bit-identical to a memo-less
     baseline (docs/MEMO.md: the store may only change the wall clock).
 
 Violations carry enough context to reproduce: the seed, a message, the
@@ -417,9 +418,9 @@ def netlist_dump(circuit: Circuit):
 class ParallelOracle(Oracle):
     """Backend equivalence of the resynthesis procedures.
 
-    Runs Procedures 2 and 3 on every fan-out path against the ``jobs=1``
-    serial reference — a local worker pool (``jobs=2``) and, when
-    enabled, a :class:`~repro.fabric.RemoteFabric` over a real
+    Runs Procedures 2 and 3 on every fan-out path against the inline
+    serial reference — a local process fabric (the ``jobs=2`` leg) and,
+    when enabled, a :class:`~repro.fabric.RemoteFabric` over a real
     in-process service server at pinned shard counts 1 and 2 — and
     requires the reports and the resulting netlists to agree bit for bit
     (the :mod:`repro.parallel` / :mod:`repro.fabric` determinism
@@ -469,7 +470,10 @@ class ParallelOracle(Oracle):
 
     def _legs(self):
         """``(label, procedure-kwargs factory)`` per non-reference leg."""
-        legs = [(f"jobs={self._jobs}", lambda: {"jobs": self._jobs})]
+        from ..fabric import ProcessFabric
+
+        legs = [(f"jobs={self._jobs}",
+                 lambda: {"fabric": ProcessFabric(self._jobs)})]
         if self._remote:
             from ..fabric.remote import RemoteFabric
 
@@ -524,8 +528,8 @@ class ParallelOracle(Oracle):
                 if diverged:
                     violations.append(Violation(
                         self.name, seed,
-                        f"{proc.__name__} diverged between jobs=1 and "
-                        f"{label} on: {', '.join(diverged)} "
+                        f"{proc.__name__} diverged between the serial "
+                        f"run and {label} on: {', '.join(diverged)} "
                         f"(serial: {serial.summary()}; "
                         f"{label}: {leg.summary()})",
                         circuit=circuit,
@@ -675,8 +679,9 @@ class MemoOracle(Oracle):
     3. ``roundtrip`` — warm again, after every entry file is re-parsed
        and re-serialized with different JSON formatting (the store's
        value encoding must survive the round trip exactly);
-    4. ``jobs`` — a ``jobs=2`` run over the warm store (the parallel
-       primer consults the memo before shipping searches);
+    4. ``jobs`` — a run over the warm store on a two-worker process
+       fabric (the parallel primer consults the memo before shipping
+       searches);
     5. ``resume`` — a warm-store run resumed from a seed-chosen
        pass-boundary checkpoint of the baseline.
 
@@ -733,6 +738,7 @@ class MemoOracle(Oracle):
 
     def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
         from ..comparison import identification_cache
+        from ..fabric import ProcessFabric
         from ..memo import MemoStore
         from ..resynth import REPORT_NUMBER_FIELDS, procedure2, procedure3
 
@@ -763,9 +769,10 @@ class MemoOracle(Oracle):
                 self._roundtrip_store(root)
                 legs.append(("roundtrip", self._run(
                     proc, circuit, seed, memo=MemoStore(root))))
-                legs.append(("jobs", self._run(
-                    proc, circuit, seed, memo=MemoStore(root),
-                    jobs=self._jobs)))
+                with ProcessFabric(self._jobs) as fabric:
+                    legs.append(("jobs", self._run(
+                        proc, circuit, seed, memo=MemoStore(root),
+                        fabric=fabric)))
                 if checkpoints:
                     resume_from = rng.choice(checkpoints)
                     legs.append(("resume", self._run(

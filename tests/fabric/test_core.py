@@ -20,8 +20,8 @@ from repro.fabric import (
     run_task,
     task_kind_names,
 )
+from repro.comparison.identify import identify_positions
 from repro.obs import Registry
-from repro.parallel.worker import identify_chunk
 
 #: Attempt log for the flaky kind, keyed by test-chosen token.
 _ATTEMPTS = {}
@@ -172,9 +172,11 @@ class TestProcessFabric:
         serial = SerialFabric().map(tasks)
         with ProcessFabric(2) as fabric:
             assert fabric.map(tasks) == serial
-        assert serial == [identify_chunk([(0b0110, 2)], 24, True, 3, 4),
-                          identify_chunk([(0b1000, 2)], 24, True, 3, 4),
-                          identify_chunk([(0b10010110, 3)], 24, True, 3, 4)]
+        # The reference is the inline search the serial sweep runs.
+        assert serial == [
+            [(table, n) + identify_positions(table, n, 24, True, 3, 4)]
+            for table, n in ((0b0110, 2), (0b1000, 2), (0b10010110, 3))
+        ]
 
     def test_poisoned_task_is_a_clean_error(self):
         with ProcessFabric(2) as fabric:

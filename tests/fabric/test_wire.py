@@ -12,9 +12,8 @@ import json
 
 import pytest
 
-from repro.fabric import FabricTask, decode_task, encode_task
+from repro.fabric import FabricTask, decode_task, encode_task, run_task
 from repro.fabric.tasks import task_kind
-from repro.parallel.worker import extract_chunk, identify_chunk
 from repro.benchcircuits import c17
 from repro.resynth.candidates import enumerate_candidate_cones
 from repro.sim import cone_signature
@@ -78,11 +77,11 @@ class TestExtractCodec:
         payload = {"items": [(sig, n)], "inject_crash": False}
         kind = task_kind("extract")
         decoded = kind.decode_payload(wire(kind.encode_payload(payload)))
-        assert (extract_chunk(decoded["items"])
-                == extract_chunk(payload["items"]))
+        assert (run_task(FabricTask("extract", decoded))
+                == run_task(FabricTask("extract", payload)))
 
     def test_result_round_trip(self):
-        rows = extract_chunk([real_item()])
+        rows = run_task(FabricTask("extract", {"items": [real_item()]}))
         kind = task_kind("extract")
         assert kind.decode_result(wire(kind.encode_result(rows))) == rows
 
@@ -116,8 +115,8 @@ class TestIdentifyCodec:
         assert decoded["items"][0] == (table, 7)
 
     def test_result_round_trip(self):
-        rows = identify_chunk([(0b0110, 2), (0b10010110, 3)],
-                              24, True, 3, 4)
+        rows = run_task(FabricTask("identify", {
+            "items": [(0b0110, 2), (0b10010110, 3)], **IDENTIFY_KNOBS}))
         kind = task_kind("identify")
         assert kind.decode_result(wire(kind.encode_result(rows))) == rows
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.benchcircuits import random_circuit
 from repro.comparison import identification_cache
+from repro.fabric import ProcessFabric
 from repro.memo import MemoStore
 from repro.obs import Registry
 from repro.resynth import REPORT_NUMBER_FIELDS, procedure2, procedure3
@@ -52,8 +53,9 @@ class TestProcedures:
         assert warm_store.stats.hits > 0
         assert warm_store.stats.misses == 0
         jobs_store = MemoStore(root, registry=Registry())
-        assert_same(baseline,
-                    run(proc, circuit, memo=jobs_store, jobs=2), "jobs=2")
+        with ProcessFabric(2) as fabric:
+            assert_same(baseline, run(proc, circuit, memo=jobs_store,
+                                      fabric=fabric), "jobs=2")
         assert jobs_store.stats.hits > 0
 
     def test_memo_accepts_a_directory_path(self, proc, circuit, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.benchcircuits import random_circuit
 from repro.cli import main
 from repro.comparison import identification_cache
+from repro.fabric import ProcessFabric
 from repro.io import save_bench
 from repro.obs import Registry, Tracer, read_trace, summarize_trace
 from repro.resynth import REPORT_NUMBER_FIELDS, procedure2
@@ -15,10 +16,16 @@ def small_circuit():
 
 
 def traced_run(jobs=1):
+    """A traced run, inline or (jobs > 1) on a traced process fabric."""
     identification_cache().clear()
     tracer = Tracer(meta={"jobs": jobs})
-    report = procedure2(small_circuit(), k=4, seed=1, jobs=jobs,
-                        tracer=tracer, registry=Registry())
+    fabric = ProcessFabric(jobs, tracer=tracer) if jobs > 1 else None
+    try:
+        report = procedure2(small_circuit(), k=4, seed=1, fabric=fabric,
+                            tracer=tracer, registry=Registry())
+    finally:
+        if fabric is not None:
+            fabric.close()
     return tracer, report
 
 

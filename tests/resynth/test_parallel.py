@@ -1,10 +1,10 @@
 """The parallel candidate-evaluation layer (`repro.parallel`).
 
 The determinism contract is the headline: procedure reports and result
-netlists must be bit-identical at any ``jobs`` value.  The rest covers the
-evaluator's lifecycle, the priming statistics, and the crashed-worker
-error path (a worker failure must surface as one clean exception, never a
-hang).
+netlists must be bit-identical with and without a process fabric.  The
+rest covers the task functions, the priming statistics, and the
+crashed-worker error path (a worker failure must surface as one clean
+exception, never a hang).
 """
 
 import pytest
@@ -12,19 +12,23 @@ import pytest
 from repro.analysis import AnalysisSession
 from repro.benchcircuits.suite import suite_circuit
 from repro.comparison import identification_cache
+from repro.comparison.identify import identify_positions
+from repro.fabric import (
+    FabricTask,
+    ProcessFabric,
+    SerialFabric,
+    preferred_start_method,
+    run_task,
+)
+from repro.fabric.tasks import InjectedWorkerCrash
 from repro.parallel import (
     ParallelEvaluator,
     ParallelExecutionError,
     PassPrimeStats,
-    preferred_start_method,
-)
-from repro.parallel.worker import (
-    evaluate_candidate_chunk,
-    extract_chunk,
-    identify_chunk,
 )
 from repro.resynth import procedure2, procedure3
 from repro.sim import cone_signature
+from repro.sim.truthtable import signature_truth_table
 from repro.resynth.candidates import enumerate_candidate_cones
 
 #: Small knobs so the four procedure runs per case stay seconds-scale.
@@ -44,7 +48,7 @@ def netlist_dump(circuit):
 
 
 class TestBitIdentity:
-    """jobs=1 and jobs=4 must agree bit for bit (ISSUE acceptance)."""
+    """Inline and a 4-worker process fabric must agree bit for bit."""
 
     @pytest.mark.parametrize("name", ["syn1423", "syn5378"])
     @pytest.mark.parametrize("proc", [procedure2, procedure3],
@@ -54,7 +58,8 @@ class TestBitIdentity:
         identification_cache().clear()
         serial = proc(circuit, **KNOBS)
         identification_cache().clear()  # force real worker computation
-        parallel = proc(circuit, jobs=4, **KNOBS)
+        with ProcessFabric(4) as fabric:
+            parallel = proc(circuit, fabric=fabric, **KNOBS)
         identification_cache().clear()
         for f in ("objective", "k", "passes", "replacements",
                   "gates_before", "gates_after", "paths_before",
@@ -66,15 +71,18 @@ class TestBitIdentity:
         assert parallel.jobs == 4
 
     def test_jobs_recorded_and_validated(self):
+        # ``jobs`` records the fabric's parallelism: 1 inline.
         circuit = suite_circuit("syn1423")
-        report = procedure2(circuit, **KNOBS)
+        assert procedure2(circuit, **KNOBS).jobs == 1
+        report = procedure2(circuit, fabric=SerialFabric(), **KNOBS)
         assert report.jobs == 1
+        assert report.timings["fabric"] == "serial"
         with pytest.raises(ValueError):
-            procedure2(circuit, jobs=0, **KNOBS)
+            ProcessFabric(0)
 
 
 class TestWorkerFunctions:
-    """The pickling-boundary functions, run in-process."""
+    """The ``extract`` and ``identify`` task kinds, run in-process."""
 
     def chunk_items(self, name="syn1423", k=4, limit=40):
         circuit = suite_circuit(name)
@@ -94,42 +102,39 @@ class TestWorkerFunctions:
                 break
         return items[:limit]
 
-    def test_one_shot_equals_two_rounds(self):
+    def test_task_rows_equal_inline_functions(self):
+        # The reference is what the serial sweep computes inline.
         items = self.chunk_items()
-        knobs = (24, True, 3, 6)  # perm_budget, try_offset, seed, max_specs
-        reports = evaluate_candidate_chunk(items, *knobs)
-        extracted = extract_chunk(items)
-        assert [(r.signature, r.n_inputs, r.table) for r in reports] == \
-            extracted
+        knobs = dict(perm_budget=24, try_offset=True, seed=3, max_specs=6)
+        extracted = run_task(FabricTask("extract", {"items": items}))
+        assert extracted == [(sig, n, signature_truth_table(sig, n))
+                             for sig, n in items]
         nonconst = [
             (table, n) for _, n, table in extracted
             if table not in (0, (1 << (1 << n)) - 1)
         ]
-        identified = dict(
-            ((table, n), (hits, tried))
-            for table, n, hits, tried in identify_chunk(nonconst, *knobs)
-        )
-        for r in reports:
-            if r.hits is None:  # constant: never searched
-                assert r.table in (0, (1 << (1 << r.n_inputs)) - 1)
-            else:
-                assert identified[(r.table, r.n_inputs)] == (r.hits, r.tried)
+        assert nonconst
+        identified = run_task(FabricTask(
+            "identify", {"items": nonconst, **knobs}))
+        assert identified == [
+            (table, n) + identify_positions(table, n, **knobs)
+            for table, n in nonconst
+        ]
 
     def test_inject_crash_raises(self):
-        from repro.parallel.worker import InjectedWorkerCrash
-
         with pytest.raises(InjectedWorkerCrash):
-            extract_chunk([], inject_crash=True)
+            run_task(FabricTask("extract",
+                                {"items": [], "inject_crash": True}))
         with pytest.raises(InjectedWorkerCrash):
-            identify_chunk([], 24, True, 0, 6, inject_crash=True)
+            run_task(FabricTask("identify", {
+                "items": [], "perm_budget": 24, "try_offset": True,
+                "seed": 0, "max_specs": 6, "inject_crash": True}))
 
 
 class TestEvaluator:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParallelEvaluator(0)
-        with pytest.raises(ValueError):
-            ParallelEvaluator(2, chunk_factor=0)
+            ParallelEvaluator(SerialFabric(), chunk_factor=0)
 
     def test_preferred_start_method(self):
         assert preferred_start_method() in ("fork", "spawn")
@@ -140,7 +145,8 @@ class TestEvaluator:
         id_cache = identification_cache()
         id_cache.clear()
         try:
-            with ParallelEvaluator(jobs=2) as ev:
+            with ProcessFabric(2) as fabric:
+                ev = ParallelEvaluator(fabric)
                 stats = ev.prime_pass(circuit, session, k=4, perm_budget=24,
                                       seed=5, max_specs=6)
                 assert isinstance(stats, PassPrimeStats)
@@ -163,20 +169,19 @@ class TestEvaluator:
         """A worker raising mid-pass surfaces as ParallelExecutionError."""
         circuit = suite_circuit("syn1423")
         session = AnalysisSession(circuit)
-        ev = ParallelEvaluator(jobs=2, inject_crash=True)
+        fabric = ProcessFabric(2)
         try:
             with pytest.raises(ParallelExecutionError) as exc_info:
-                ev.prime_pass(circuit, session, k=4, perm_budget=24,
-                              seed=5, max_specs=6)
+                ParallelEvaluator(fabric, inject_crash=True).prime_pass(
+                    circuit, session, k=4, perm_budget=24, seed=5,
+                    max_specs=6)
             assert "injected worker crash" in str(exc_info.value)
-            # The owned fabric's pool was torn down on the way out.
-            assert ev.fabric is not None
-            assert ev.fabric._executor is None
+            # The evaluator leaves the fabric to its owner, still usable.
+            stats = ParallelEvaluator(fabric).prime_pass(
+                circuit, session, k=4, perm_budget=24, seed=5,
+                max_specs=6)
+            assert stats.merged_tables == stats.shipped > 0
         finally:
-            ev.close()
+            fabric.close()
             session.close()
-
-    def test_close_is_idempotent(self):
-        ev = ParallelEvaluator(jobs=1)
-        ev.close()
-        ev.close()
+            identification_cache().clear()

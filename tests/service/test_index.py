@@ -112,15 +112,21 @@ class TestIndexThroughService:
             client = ServiceClient(srv.url, timeout=30.0)
             job_id = client.submit(c17_spec())["id"]
             client.wait(job_id, timeout=60.0)
+            report = client.report(job_id)
         # The store, not the index, is the source of truth: delete the
         # index file entirely and a fresh service must rebuild it.
         os.unlink(default_index_path(root))
         store2 = ArtifactStore(root)
         with ServiceServer(store2, port=0, config=fast_config(),
                            max_workers=2) as srv:
-            rows = ServiceClient(srv.url, timeout=30.0).jobs()
+            client = ServiceClient(srv.url, timeout=30.0)
+            rows = client.jobs()
             assert [r["id"] for r in rows] == [job_id]
             assert rows[0]["state"] == "succeeded"
+            # It serves the stored report and joins a resubmit to the
+            # stored job instead of running it again.
+            assert client.report(job_id) == report
+            assert client.submit(c17_spec())["created"] is False
 
     def test_bad_filters_are_400(self, tmp_path):
         from repro.service import ServiceAPIError

@@ -6,9 +6,10 @@ import pytest
 
 from repro.benchcircuits import c17
 from repro.comparison import identification_cache
+from repro.fabric import ProcessFabric
 from repro.io import circuit_to_json
 from repro.resynth import REPORT_NUMBER_FIELDS
-from repro.service import ArtifactStore, JobSpec, run_job
+from repro.service import ArtifactStore, JobSpec, run_job, runner
 from repro.verify import netlist_dump
 
 
@@ -52,6 +53,34 @@ class TestStraightRun:
         beats = []
         report = run_job(store, job_id, progress=lambda: beats.append(1))
         assert len(beats) == report.passes
+
+    def test_jobs_spec_runs_on_its_own_process_fabric(self, tmp_path,
+                                                      monkeypatch):
+        created = []
+
+        class RecordingFabric(ProcessFabric):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(runner, "ProcessFabric", RecordingFabric)
+        store = ArtifactStore(str(tmp_path))
+        serial_id, _ = store.create_job(spec())
+        pooled_id, _ = store.create_job(spec(jobs=2))
+        identification_cache().clear()
+        serial = run_job(store, serial_id)
+        assert created == []
+        identification_cache().clear()  # the pool must do the work
+        pooled = run_job(store, pooled_id)
+        identification_cache().clear()
+        for field in REPORT_NUMBER_FIELDS:
+            assert getattr(pooled, field) == getattr(serial, field), field
+        assert netlist_dump(pooled.circuit) == netlist_dump(serial.circuit)
+        assert pooled.jobs == 2
+        (fabric,) = created
+        assert fabric.jobs == 2
+        assert pooled.timings["prime_seconds"]  # the pool primed passes
+        assert fabric._executor is None  # and was shut down on return
 
 
 class TestResume:

@@ -10,13 +10,17 @@ import json
 import os
 import sys
 
+import pytest
+
 from repro.benchcircuits import c17
 from repro.io import circuit_to_json
 from repro.obs import Registry
+from repro.resynth import ResynthesisReport
 from repro.service import (
     ArtifactStore,
     JobSpec,
     SupervisorConfig,
+    TERMINAL_STATES,
     WorkerSupervisor,
 )
 from repro.service.supervisor import default_worker_command
@@ -71,6 +75,40 @@ class TestFakeWorkers:
         assert status["state"] == "failed"
         assert "code 3" in status["reason"]
         assert metrics.counter_value("service_jobs_failed_total") == 1
+
+    @pytest.mark.parametrize("program, state", [
+        ("pass", "succeeded"), ("import sys; sys.exit(3)", "failed")],
+        ids=["succeeded", "failed"])
+    def test_metrics_lead_the_terminal_status(self, tmp_path, program,
+                                              state):
+        # Whoever observes a terminal status must find the job in the
+        # metrics: the store's status hook reads them at that write.
+        store, job_id = make_job(tmp_path)
+        if state == "succeeded":  # as the real worker leaves it
+            store.write_report(job_id, ResynthesisReport(
+                circuit=c17(), objective="gates", k=4, passes=2,
+                replacements=0, gates_before=6, gates_after=6,
+                paths_before=11, paths_after=11,
+                timings={"pass_seconds": [0.25, 0.5],
+                         "total_seconds": 0.75}))
+        metrics = Registry()
+        seen = []
+
+        def on_status(job, record):
+            if record["state"] in TERMINAL_STATES:
+                seen.append((
+                    record["state"],
+                    metrics.counter_value(
+                        f"service_jobs_{record['state']}_total"),
+                    metrics.get_histogram("service_pass_seconds").count,
+                ))
+
+        store.on_status = on_status
+        sup = WorkerSupervisor(store, fast_config(), metrics,
+                               worker_command=fake_worker(program))
+        assert sup.supervise(job_id).state == state
+        passes = 2 if state == "succeeded" else 0
+        assert seen == [(state, 1, passes)]
 
     def test_fail_once_then_succeed_retries(self, tmp_path):
         store, job_id = make_job(tmp_path)
@@ -131,15 +169,18 @@ class TestFakeWorkers:
         # Regression: the first attempt beats once and then hangs; its
         # stale beat must not be held against the retry (which would be
         # killed on the supervisor's first poll, before it could beat).
+        # Only the first attempt imports the store: loading the package
+        # takes a sizeable share of the 0.5 s timeout, and the retry must
+        # exit well within it.
         store, job_id = make_job(tmp_path)
         marker = tmp_path / "attempted"
         program = (
             "import os, sys, time\n"
-            "from repro.service.store import ArtifactStore\n"
             f"marker = {str(marker)!r}\n"
             "if os.path.exists(marker):\n"
             "    sys.exit(0)\n"
             "open(marker, 'w').close()\n"
+            "from repro.service.store import ArtifactStore\n"
             f"ArtifactStore({store.root!r}).heartbeat({job_id!r})\n"
             "time.sleep(60)\n"
         )

@@ -10,8 +10,7 @@ retry policy).  Disabled by default — ``--task-workers N`` opts in.
 import pytest
 
 from repro.fabric import FabricTask, SerialFabric
-from repro.fabric.tasks import encode_result, encode_task
-from repro.parallel.worker import identify_chunk
+from repro.fabric.tasks import encode_result, encode_task, run_task
 from repro.service import (
     ArtifactStore,
     ResynthesisService,
@@ -50,7 +49,7 @@ class TestTasksRoute:
     def test_round_trip_matches_local_execution(self, client):
         task = identify_task(0b0110, 2)
         answer = client.run_tasks([encode_task(task)])
-        expected = identify_chunk([(0b0110, 2)], 24, True, 3, 4)
+        expected = run_task(task)
         assert answer == {"results": [
             {"ok": True, "result": encode_result("identify", expected)},
         ]}
@@ -119,9 +118,9 @@ class TestServiceTaskFabric:
         try:
             assert service.task_fabric.name == "process"
             assert service.task_fabric.max_retries == 0
-            docs = [encode_task(identify_task(0b0110, 2))]
-            rows = service.run_tasks(docs)
-            expected = identify_chunk([(0b0110, 2)], 24, True, 3, 4)
+            task = identify_task(0b0110, 2)
+            rows = service.run_tasks([encode_task(task)])
+            expected = run_task(task)
             assert rows == [{
                 "ok": True, "result": encode_result("identify", expected),
             }]
