@@ -15,15 +15,25 @@ worker processes run the search on candidate-cone truth tables and the
 coordinator installs the results into the shared
 :class:`IdentificationCache` via :func:`warm_identification_cache` — a
 cache hit returns bit-for-bit what a local search would have computed, so
-results cannot depend on *where* the search ran.  When NumPy is importable
-the permutation scan is vectorized (one small matrix product instead of a
-Python loop per permutation); the pure-Python fallback produces identical
-results, permutation for permutation.
+results cannot depend on *where* the search ran.  An exhaustive search
+(``n! <= perm_budget``) never reads its seed, so its cache key carries
+seed 0 (:func:`identification_key`) and every pass shares one entry.
+
+When NumPy is importable and ``n <= 7``, a table is scanned once under all
+``n!`` permutations (a gather from a per-``n`` table of permuted minterm
+values, then min/max per permutation); the resulting *verdict* lives in
+the :class:`IdentificationCache` and answers every permutation sample of
+that table by replay.  Larger ``n`` keep the sampled scan (one integer
+matrix product per table).  The pure-Python loop is the NumPy-less path
+and the reference both kernels are tested against; all three produce
+identical results, permutation for permutation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -38,6 +48,14 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
 
 #: Default permutation budget, matching Section 5 of the paper.
 DEFAULT_PERM_BUDGET = 200
+
+#: Largest input count scanned under all ``n!`` permutations at once.
+#: Measured per table on an x86-64 Xeon with NumPy 2.4: ~60 us for all 720
+#: permutations at n=6 and ~130 us for all 5,040 at n=7, against ~190 us
+#: and ~340 us for the sampled scan of 200.  At n=8 the value table would
+#: hold 256 x 40,320 entries (10 MB) and a scan would visit ~200x the
+#: permutations of a 200-sample, so larger inputs keep the sampled scan.
+WHOLE_SCAN_MAX_N = 7
 
 
 def _minterm_bits(minterms: Sequence[int], n: int) -> List[Tuple[int, ...]]:
@@ -149,9 +167,16 @@ PositionHit = Tuple[Tuple[int, ...], int, int, bool]
 #: The memoized value of one position-level search: (hits, permutations tried).
 PositionResult = Tuple[Tuple[PositionHit, ...], int]
 
-#: The cache key of one position-level search.  All six components change
-#: the search outcome, so all six are part of the key.
+#: The cache key of one position-level search: the argument tuple of
+#: :func:`identify_positions`, with the seed zeroed where it is never read.
 PositionKey = Tuple[int, int, int, bool, int, int]
+
+#: The whole-space scan of one table: the ON- and OFF-set LSB
+#: preconditions and an int16 ``(hits, 4)`` array of
+#: ``(lexicographic permutation index, L, U, complement)`` rows, sorted by
+#: permutation with the ON hit before the OFF hit (None when no
+#: permutation hits).
+Verdict = Tuple[bool, bool, "object"]
 
 
 def identification_key(
@@ -164,10 +189,16 @@ def identification_key(
 ) -> PositionKey:
     """Build the :class:`IdentificationCache` key for one search.
 
-    The key is exactly the argument tuple of :func:`identify_positions`;
-    it exists as a named helper so the coordinator, the worker processes
-    and the cache agree on one canonical spelling.
+    The key is the argument tuple of :func:`identify_positions`, except
+    that an exhaustive search (``n! <= perm_budget``) gets seed 0: it
+    tries every permutation in lexicographic order and never reads the
+    seed, so every seed has the same result.  It exists as a named helper
+    so the coordinator, the worker processes, the cache and the
+    persistent memo (:func:`repro.memo.keys.memo_key_doc`) agree on one
+    canonical spelling.
     """
+    if math.factorial(n) <= perm_budget:
+        seed = 0
     return (table, n, perm_budget, try_offset, seed, max_specs)
 
 
@@ -181,10 +212,15 @@ class IdentificationCache:
     results computed in worker processes.  Resynthesis evaluates thousands
     of candidate cones that frequently share truth tables, so the memo is
     a large constant-factor win even in serial runs.
+
+    The cache also holds per-table :data:`Verdict` values (see
+    :meth:`verdict`), bounded the same way as the position entries, so
+    one whole-space scan serves every permutation sample of a table.
     """
 
     def __init__(self, max_entries: int = 200_000) -> None:
         self._table: Dict[PositionKey, PositionResult] = {}
+        self._verdicts: Dict[Tuple[int, int, bool], Verdict] = {}
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -228,9 +264,25 @@ class IdentificationCache:
         self.warmed += count
         return count
 
+    def verdict(self, table: int, n: int, try_offset: bool) -> Verdict:
+        """The whole-space scan of *table*, computed on first use.
+
+        Needs NumPy and ``n <=`` :data:`WHOLE_SCAN_MAX_N`.  Drops all
+        verdicts when full, like :meth:`put`.
+        """
+        key = (table, n, try_offset)
+        got = self._verdicts.get(key)
+        if got is None:
+            if len(self._verdicts) >= self._max_entries:
+                self._verdicts.clear()
+            got = _scan_all_permutations(table, n, try_offset)
+            self._verdicts[key] = got
+        return got
+
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry and verdict (counters are kept)."""
         self._table.clear()
+        self._verdicts.clear()
 
 
 #: Process-global identification memo shared by every caller.
@@ -328,6 +380,124 @@ def _interval_scan(mat, weights_t, n_minterms: int):
     return lo, hi, (hi - lo + 1) == n_minterms
 
 
+@functools.lru_cache(maxsize=None)
+def _whole_space(n: int):
+    """``(bits, values)`` for every minterm of an n-input table.
+
+    ``bits`` is the ``(2^n, n)`` MSB-first bit matrix; ``values`` is the
+    ``(2^n, n!)`` int8 table whose column ``k`` holds every minterm's
+    permuted value under the ``k``-th permutation in lexicographic order
+    (the exhaustive sample).  Built on first use for each ``n <=``
+    :data:`WHOLE_SCAN_MAX_N`; both arrays are read-only.
+    """
+    bits = _minterm_matrix(range(1 << n), n)
+    weights_t = _permutation_weights(n, math.factorial(n), 0)
+    values = (bits @ weights_t).astype(_np.int8)
+    bits.setflags(write=False)
+    values.setflags(write=False)
+    return bits, values
+
+
+def _lex_index(perm: Sequence[int]) -> int:
+    """Position of *perm* in the lexicographic order of its permutations."""
+    rest = sorted(perm)
+    index = 0
+    for p in perm:
+        i = rest.index(p)
+        index = index * len(rest) + i
+        rest.pop(i)
+    return index
+
+
+@functools.lru_cache(maxsize=1024)
+def _sample_positions(n: int, perm_budget: int, seed: int):
+    """Read-only ``n!`` int32 array: each permutation's position in the
+    :func:`candidate_permutations` sample, or -1 when it is not sampled."""
+    positions = _np.full(math.factorial(n), -1, dtype=_np.int32)
+    for i, perm in enumerate(_permutation_sample(n, perm_budget, seed)):
+        positions[_lex_index(perm)] = i
+    positions.setflags(write=False)
+    return positions
+
+
+def _scan_all_permutations(table: int, n: int, try_offset: bool) -> Verdict:
+    """Scan a non-constant table under all ``n!`` permutations (NumPy).
+
+    Gathers the ON (and OFF) minterm rows of the value table and takes
+    min and max per permutation, the interval test of
+    :func:`_interval_scan` without a matrix product.  A set whose LSB
+    precondition fails is not scanned, as in :func:`identify_positions`.
+    """
+    bits, values = _whole_space(n)
+    size = 1 << n
+    raw = _np.frombuffer(table.to_bytes((size + 7) // 8, "little"),
+                         dtype=_np.uint8)
+    on = _np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+    sets = [(on, False), (~on, True)] if try_offset else [(on, False)]
+    checks = []
+    found = []
+    for mask, complement in sets:
+        check = _lsb_condition_mat(bits[mask])
+        checks.append(check)
+        if not check:
+            continue
+        rows = values[mask]
+        lo = rows.min(axis=0)
+        hi = rows.max(axis=0)
+        idx = _np.flatnonzero(hi - lo == rows.shape[0] - 1)
+        if len(idx):
+            hits = _np.empty((len(idx), 4), dtype=_np.int16)
+            hits[:, 0] = idx
+            hits[:, 1] = lo[idx]
+            hits[:, 2] = hi[idx]
+            hits[:, 3] = complement
+            found.append(hits)
+    hits = None
+    if found:
+        # Stable, so a permutation hit by both sets keeps ON before OFF.
+        hits = _np.concatenate(found)
+        hits = hits[_np.argsort(hits[:, 0], kind="stable")]
+    return (checks[0], len(checks) > 1 and checks[1], hits)
+
+
+def _replay_verdict(
+    verdict: Verdict, n: int, perm_budget: int, seed: int, max_specs: int
+) -> PositionResult:
+    """Answer one search from its table's :data:`Verdict`.
+
+    Walks the sample's permutations in sample order over the verdict's
+    hits, reproducing the scan loop of :func:`identify_positions`: hits
+    in permutation order, ON before OFF, stopping after the permutation
+    at which ``max_specs`` hits are reached.
+    """
+    check_on, check_off, hits = verdict
+    if not check_on and not check_off:
+        return ((), 0)
+    perms = _permutation_sample(n, perm_budget, seed)
+    if hits is None:
+        return ((), len(perms))
+    at = _sample_positions(n, perm_budget, seed)[hits[:, 0]]
+    order = _np.argsort(at, kind="stable")
+    at = at[order]
+    start = int(_np.searchsorted(at, 0))  # unsampled permutations sort first
+    if start == len(at):
+        return ((), len(perms))
+    at = at[start:]
+    if max_specs < 1:
+        last = 0
+    elif len(at) >= max_specs:
+        last = int(at[max_specs - 1])
+    else:
+        last = len(perms) - 1
+    end = int(_np.searchsorted(at, last, side="right"))
+    rows = hits[order[start:start + end]].tolist()
+    return (
+        tuple((perms[p], lo, hi, bool(comp))
+              for p, (_, lo, hi, comp) in zip(at[:end].tolist(), rows)),
+        last + 1,
+    )
+
+
 def identify_positions(
     table: int,
     n: int,
@@ -336,7 +506,7 @@ def identify_positions(
     seed: int = 0,
     max_specs: int = 16,
 ) -> PositionResult:
-    """Position-level identification core (pure; no caching).
+    """Position-level identification core (a pure function).
 
     Search the permutations of ``0..n-1`` for ones under which the ON set
     (and, with *try_offset*, the OFF set) of *table* is a consecutive
@@ -345,16 +515,23 @@ def identify_positions(
     serial scan visits them (permutation order, ON before OFF), and
     *tried* is the number of permutations consumed.
 
-    This function is deliberately free of process state so the parallel
-    layer can run it anywhere: equal arguments give equal results, whether
-    evaluated inline, from the cache, or in a worker process.  The NumPy
-    path and the pure-Python path implement the same scan and are kept
-    output-identical (see ``tests/comparison/test_identify_kernels.py``).
+    Equal arguments give equal results, whether evaluated inline, from
+    the cache, or in a worker process, so the parallel layer can run it
+    anywhere.  The only process state it reads is the table's
+    :data:`Verdict` in the process-global cache, itself a pure function
+    of ``(table, n, try_offset)``.  The whole-space replay, the sampled
+    NumPy scan and the pure-Python loop are kept output-identical (see
+    ``tests/comparison/test_identify_kernels.py``).
     """
     size = 1 << n
     full = (1 << size) - 1
     if table == 0 or table == full:
         return ((), 0)
+    if _np is not None and n <= WHOLE_SCAN_MAX_N:
+        # One scan of every permutation per table, kept in the cache and
+        # replayed for each sample (seed, budget, max_specs) it meets.
+        return _replay_verdict(_CACHE.verdict(table, n, try_offset), n,
+                               perm_budget, seed, max_specs)
     on_m = tt_minterms(table, n)
     off_m = tt_minterms(table ^ full, n) if try_offset else None
     hits: List[PositionHit] = []
@@ -491,10 +668,7 @@ def identify_comparison(
         handle them by direct constant substitution instead.
     """
     n = len(variables)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    exhaustive = fact <= perm_budget
+    exhaustive = math.factorial(n) <= perm_budget
     hits, tried = _identify_positions(
         table, n, perm_budget, try_offset, seed, max_specs, memo=memo
     )

@@ -31,6 +31,8 @@ import hashlib
 import json
 from typing import Dict, List
 
+from ..comparison.identify import identification_key
+
 KEY_FORMAT = "repro-memo-key"
 MEMO_VERSION = 1
 
@@ -65,10 +67,14 @@ def memo_key_doc(
 ) -> Dict[str, object]:
     """The canonical key document of one search's entry class.
 
-    Every search knob is part of the key — all of them change the search
-    outcome — alongside the permutation-invariant table signature
-    (input count, ON-set size, sorted ON-column counts).
+    Every search knob of the :func:`identification_key` is part of the
+    key — all of them change the search outcome — alongside the
+    permutation-invariant table signature (input count, ON-set size,
+    sorted ON-column counts).  The knobs are read from that key, so an
+    exhaustive search files under seed 0 whatever seed it was run with.
     """
+    _, _, perm_budget, try_offset, seed, max_specs = identification_key(
+        table, n, perm_budget, try_offset, seed, max_specs)
     return {
         "format": KEY_FORMAT,
         "version": MEMO_VERSION,

@@ -91,10 +91,22 @@ class TestSeparation:
         for field, changed in [
             ("perm_budget", dict(KNOBS, perm_budget=41)),
             ("try_offset", dict(KNOBS, try_offset=False)),
-            ("seed", dict(KNOBS, seed=4)),
             ("max_specs", dict(KNOBS, max_specs=5)),
         ]:
             assert memo_key_doc(table, n, **changed) != base, field
+
+    def test_seed_separates_only_sampled_searches(self):
+        # 6! = 720 > 200: the seed picks the sample, so it is in the key.
+        rng = random.Random(6)
+        table = random_table(rng, 6)
+        sampled = dict(KNOBS, perm_budget=200)
+        assert memo_key_doc(table, 6, **sampled) != \
+            memo_key_doc(table, 6, **dict(sampled, seed=4))
+        # 4! = 24 <= 40: the search is exhaustive and never reads the seed.
+        table = 0b1010_0101_1111_0000
+        exhaustive = memo_key_doc(table, 4, **KNOBS)
+        assert exhaustive["seed"] == 0
+        assert memo_key_doc(table, 4, **dict(KNOBS, seed=4)) == exhaustive
 
     def test_different_n_same_bits_separate(self):
         # The same integer read as a 2-input vs padded 3-input table.

@@ -152,6 +152,21 @@ class TestRemoteMemo:
         assert reader.lookup(**SEARCH) == result
         assert reader.stats.hits == 1
 
+    def test_seed_is_shared_only_by_exhaustive_searches(self, memo_server):
+        # 3! <= 24: recorded under seed 3, a fresh client hits under 4.
+        writer = RemoteMemo(memo_server.url, registry=Registry())
+        writer.record(**SEARCH, result=real_result())
+        reader = RemoteMemo(memo_server.url, registry=Registry())
+        assert reader.lookup(**dict(SEARCH, seed=4)) == real_result()
+        # 6! > 200: a sampled search under seed 3 is no answer for 4.
+        sampled = dict(table=sum(1 << m for m in range(5, 40)), n=6,
+                       perm_budget=200, try_offset=True, seed=3,
+                       max_specs=4)
+        writer.record(**sampled, result=identify_positions(**sampled))
+        reader = RemoteMemo(memo_server.url, registry=Registry())
+        assert reader.lookup(**sampled) is not None
+        assert reader.lookup(**dict(sampled, seed=4)) is None
+
     def test_hot_tier_serves_repeats_without_network(self, memo_server):
         memo = RemoteMemo(memo_server.url, registry=Registry())
         memo.record(**SEARCH, result=real_result())

@@ -80,6 +80,23 @@ class TestRoundTrip:
         assert lookup(again, TABLE, N) == real_result(TABLE, N)
         assert again.disk_entries == 1
 
+    def test_seed_is_shared_only_by_exhaustive_searches(self, tmp_path):
+        # 4! <= 40: the search never reads its seed, so a result recorded
+        # under seed 3 answers seed 4, from the hot tier and from disk.
+        store = store_with(tmp_path, TABLE, N)
+        fresh = MemoStore(store.root, registry=Registry())
+        for memo in (store, fresh):
+            assert memo.lookup(TABLE, N, 40, True, 4, 4) == \
+                real_result(TABLE, N)
+        # 6! > 200: the seed picks the sample, so seed 4 must miss.
+        table = sum(1 << m for m in range(5, 40))
+        store.record(table, 6, 200, True, 3, 4,
+                     identify_positions(table, 6, 200, True, 3, 4))
+        fresh = MemoStore(store.root, registry=Registry())
+        for memo in (store, fresh):
+            assert memo.lookup(table, 6, 200, True, 3, 4) is not None
+            assert memo.lookup(table, 6, 200, True, 4, 4) is None
+
     def test_identical_rerecord_is_a_disk_noop(self, tmp_path):
         store = store_with(tmp_path, TABLE, N)
         path = entry_file(store, TABLE, N)
