@@ -71,30 +71,35 @@ def test_offset_identification(once):
 
     def run():
         import repro.resynth.replace as replace_mod
-        from repro.comparison import identify_comparison
+        from repro.comparison import lookup_positions
 
         on_off = procedure2(base, k=5)
 
-        original_identify = replace_mod.identify_comparison
+        calls = []
 
-        def on_only(table, variables, **kwargs):
+        def on_only(table, n, **kwargs):
             kwargs["try_offset"] = False
-            return identify_comparison(table, variables, **kwargs)
+            calls.append(table)
+            return lookup_positions(table, n, **kwargs)
 
-        replace_mod.identify_comparison = on_only
+        # The name evaluate_cone identifies cones through.
+        replace_mod.lookup_positions = on_only
         try:
             on_only_rep = procedure2(base, k=5)
         finally:
-            replace_mod.identify_comparison = original_identify
-        return on_off, on_only_rep
+            replace_mod.lookup_positions = lookup_positions
+        return on_off, on_only_rep, len(calls)
 
-    both, on_only = once(run)
+    both, on_only, calls = once(run)
     print("\n" + render_table(
         ["identification", "2-inp after", "paths after"],
         [("ON + OFF sets (paper)", both.gates_after, both.paths_after),
          ("ON set only", on_only.gates_after, on_only.paths_after)],
         title=f"Ablation: complemented-unit identification on {CIRCUIT}",
     ))
+    # The ON-only leg must really run through the wrapper: on syn1423 both
+    # legs reach the same figures, so only the call count shows the seam.
+    assert calls > 0
     # using both polarities can only widen the candidate pool
     assert both.gates_after <= on_only.gates_after + 2
 

@@ -96,10 +96,11 @@ def shared_members(circuit: Circuit, cone: Cone) -> Set[str]:
     stay in the circuit after replacement.
     """
     shared: Set[str] = set()
+    outputs = circuit.output_set
     for m in cone.members:
         if m == cone.output:
             continue
-        if m in circuit.output_set:
+        if m in outputs:
             shared.add(m)
             continue
         for reader in circuit.fanouts(m):

@@ -11,12 +11,14 @@ from .identify import (
     identify_comparison,
     identify_positions,
     is_comparison_function,
+    lookup_positions,
     warm_identification_cache,
 )
 from .unit import (
     UnitCost,
     best_spec,
     build_unit,
+    cheapest_position,
     emit_comparison_unit,
     unit_cost,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "build_multi_unit",
     "build_unit",
     "candidate_permutations",
+    "cheapest_position",
     "comparison_fraction",
     "comparison_truth_tables",
     "count_comparison_functions",
@@ -79,6 +82,7 @@ __all__ = [
     "is_comparison_exact",
     "is_comparison_function",
     "leq_block_threshold",
+    "lookup_positions",
     "robust_tests_for_unit",
     "unit_cost",
     "warm_identification_cache",

@@ -591,16 +591,16 @@ def identify_positions(
     return (tuple(hits), tried)
 
 
-def _identify_positions(
+def lookup_positions(
     table: int,
     n: int,
-    perm_budget: int,
-    try_offset: bool,
-    seed: int,
-    max_specs: int,
+    perm_budget: int = DEFAULT_PERM_BUDGET,
+    try_offset: bool = True,
+    seed: int = 0,
+    max_specs: int = 16,
     memo=None,
 ) -> PositionResult:
-    """Cached wrapper around :func:`identify_positions`.
+    """Cached :func:`identify_positions`: ``(hits, tried)`` for a table.
 
     Cache order: the process-global :class:`IdentificationCache` first,
     then the optional persistent *memo* (a
@@ -608,7 +608,9 @@ def _identify_positions(
     is installed into the in-process cache and returned verbatim; a
     fresh computation is recorded back into the memo.  Because every
     tier stores the pure function value for the *exact* key, the answer
-    is bit-identical whichever tier serves it.
+    is bit-identical whichever tier serves it.  Resynthesis prices the
+    hits directly (:func:`repro.comparison.unit.cheapest_position`);
+    :func:`identify_comparison` turns them into specs.
     """
     key = identification_key(
         table, n, perm_budget, try_offset, seed, max_specs
@@ -669,7 +671,7 @@ def identify_comparison(
     """
     n = len(variables)
     exhaustive = math.factorial(n) <= perm_budget
-    hits, tried = _identify_positions(
+    hits, tried = lookup_positions(
         table, n, perm_budget, try_offset, seed, max_specs, memo=memo
     )
     specs = tuple(

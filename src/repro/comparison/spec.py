@@ -12,7 +12,7 @@ that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,20 @@ class ComparisonSpec:
 
     def describe(self) -> str:
         """One-line human-readable summary."""
-        perm = ", ".join(self.inputs)
-        pol = "NOT " if self.complement else ""
-        return f"{pol}[{self.lower} <= ({perm}) <= {self.upper}]"
+        return describe_comparison(
+            self.inputs, self.lower, self.upper, self.complement
+        )
+
+
+def describe_comparison(
+    inputs: Iterable[str], lower: int, upper: int, complement: bool
+) -> str:
+    """The :meth:`ComparisonSpec.describe` string of a spec's fields.
+
+    Spelled once so that the resynthesis tie-break can rank a spec's
+    description without building the spec.  Two different specs can
+    share a description (an input name may itself contain ``", "``).
+    """
+    perm = ", ".join(inputs)
+    pol = "NOT " if complement else ""
+    return f"{pol}[{lower} <= ({perm}) <= {upper}]"

@@ -34,7 +34,8 @@ from ..netlist import (
     GateType,
     two_input_gate_count,
 )
-from .spec import ComparisonSpec
+from .identify import PositionHit
+from .spec import ComparisonSpec, describe_comparison
 
 
 class _Namer:
@@ -221,8 +222,9 @@ def _positional_unit_cost(
 
     A unit's structure — and therefore its cost — depends only on the
     input count, the bounds and the polarity, never on the input *names*;
-    building and measuring one representative per shape lets repeated
-    spec evaluations (the dominant resynthesis cost) hit a memo.
+    building and measuring one representative per shape lets the
+    thousands of candidate realizations a resynthesis run prices, most
+    of them sharing a few shapes, hit a memo.
     """
     from ..analysis import internal_path_counts  # local import: avoid cycle
 
@@ -253,25 +255,83 @@ def unit_cost(spec: ComparisonSpec, merge: bool = True) -> UnitCost:
     )
 
 
+@lru_cache(maxsize=1 << 16)
+def _rank_positions(
+    hits: Tuple[PositionHit, ...], merge: bool
+) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+    """Cost every hit; keep the group at minimum (gates, internal paths).
+
+    Returns the group's two-input gate count and, for each hit in the
+    group (in hit order), its index and per-position path counts.  A
+    hit's cost depends only on its shape ``(n, L, U, complement)``, so
+    the ranking is a pure function of the hit tuple; resynthesis meets
+    the same tuple for every cone with the same truth table.
+    """
+    best: Optional[Tuple[int, int]] = None
+    group: List[Tuple[int, Tuple[int, ...]]] = []
+    for index, (perm, lower, upper, complement) in enumerate(hits):
+        gates, total, per, _ = _positional_unit_cost(
+            len(perm), lower, upper, complement, merge
+        )
+        if best is None or (gates, total) < best:
+            best = (gates, total)
+            group = [(index, per)]
+        elif (gates, total) == best:
+            group.append((index, per))
+    return best[0], tuple(group)
+
+
+def cheapest_position(
+    hits: Sequence[PositionHit],
+    variables: Sequence[str],
+    merge: bool = True,
+) -> Optional[Tuple[int, int, Tuple[int, ...]]]:
+    """Pick the cheapest position-level hit over *variables* (None if none).
+
+    *hits* are ``(perm, L, U, complement)`` tuples as returned by
+    :func:`repro.comparison.identify.lookup_positions`.  The ranking rule:
+    fewest two-input gates, then fewest internal paths, then the smallest
+    :meth:`ComparisonSpec.describe` string, keeping the first hit when two
+    strings are equal.  Returns the winner's index into *hits*, its
+    unit's two-input gate count and its per-position internal path
+    counts (entry ``i`` belongs to ``variables[perm[i]]``), without
+    building a spec per hit.
+    """
+    hits = tuple(hits)
+    if not hits:
+        return None
+    gates, group = _rank_positions(hits, merge)
+    if len(group) == 1:
+        index, per = group[0]
+    else:
+        def describe(entry: Tuple[int, Tuple[int, ...]]) -> str:
+            perm, lower, upper, complement = hits[entry[0]]
+            return describe_comparison(
+                map(variables.__getitem__, perm), lower, upper, complement
+            )
+
+        index, per = min(group, key=describe)
+    return index, gates, per
+
+
 def best_spec(
     specs: Sequence[ComparisonSpec], merge: bool = True
 ) -> Optional[Tuple[ComparisonSpec, UnitCost]]:
     """Pick the realization with fewest gates, then fewest internal paths.
 
     Ties beyond that break deterministically on the spec's description so
-    results are reproducible across runs.
+    results are reproducible across runs: the rule of
+    :func:`cheapest_position`, applied to the specs as hits over the
+    names they use.
     """
-    scored = [
-        (unit_cost(s, merge=merge), s) for s in specs
-    ]
-    if not scored:
+    specs = tuple(specs)
+    if not specs:
         return None
-    scored.sort(
-        key=lambda cs: (
-            cs[0].two_input_gates,
-            cs[0].total_internal_paths,
-            cs[1].describe(),
-        )
+    variables = tuple(dict.fromkeys(x for s in specs for x in s.inputs))
+    hits = tuple(
+        (tuple(map(variables.index, s.inputs)), s.lower, s.upper,
+         s.complement)
+        for s in specs
     )
-    cost, spec = scored[0]
-    return spec, cost
+    index, _, _ = cheapest_position(hits, variables, merge)
+    return specs[index], unit_cost(specs[index], merge=merge)

@@ -25,10 +25,11 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis import Cone, removable_members
 from ..comparison import (
     ComparisonSpec,
-    best_spec,
+    cheapest_position,
     emit_comparison_unit,
     exact_identify,
-    identify_comparison,
+    lookup_positions,
+    unit_cost,
 )
 from ..netlist import (
     Circuit,
@@ -79,11 +80,19 @@ def evaluate_cone(
 ) -> Optional[ReplacementOption]:
     """Price the best comparison-unit replacement for *cone* (None if none).
 
-    *labels* are the host circuit's Procedure 1 path labels.  With
-    ``exact=True`` the sampled identification is augmented by the exact
-    decision procedure of :mod:`repro.comparison.exact`, which never
-    misses a realization (the sampler's 200-permutation budget does, for
-    6+ inputs).  *tt_cache* memoizes cone truth tables by structural
+    *labels* are the host circuit's Procedure 1 path labels.  The cone's
+    truth table is identified at the position level
+    (:func:`~repro.comparison.identify.lookup_positions`), the hits are
+    ranked once per distinct hit tuple
+    (:func:`~repro.comparison.unit.cheapest_position`) and only the
+    winner becomes a :class:`~repro.comparison.ComparisonSpec`: the spec
+    :func:`~repro.comparison.best_spec` would pick among
+    :func:`~repro.comparison.identify_comparison`'s specs.  Removable
+    gates are counted only for cones that return an option.  With
+    ``exact=True``, a cone whose sample finds no realization falls back
+    to the exact decision procedure of :mod:`repro.comparison.exact`,
+    which never misses one (the sampler's 200-permutation budget does,
+    for 6+ inputs).  *tt_cache* memoizes cone truth tables by structural
     signature, so re-enumerated cones skip resimulation.  Both the truth
     table and the identification are obtained through pure-function caches
     (:class:`~repro.sim.TruthTableCache` and the global
@@ -94,14 +103,12 @@ def evaluate_cone(
     consulted behind the in-process cache — same purity argument, same
     bit-identical results.
     """
-    removable = removable_members(circuit, cone)
-    n_removable = sum(
-        gate_two_input_equivalents(circuit.gate(m)) for m in removable
-    )
     if not cone.inputs:
         key = cone_signature(circuit, cone.output, cone.members, ())
         value = signature_truth_table(key, 0) & 1
-        return ReplacementOption(cone, None, value, n_removable, 0, 0)
+        return ReplacementOption(
+            cone, None, value, _removable_gates(circuit, cone), 0, 0
+        )
     key = cone_signature(circuit, cone.output, cone.members, cone.inputs)
     tt = tt_cache.get(key) if tt_cache is not None else None
     if tt is None:
@@ -111,24 +118,38 @@ def evaluate_cone(
     size = 1 << len(cone.inputs)
     if tt == 0 or tt == (1 << size) - 1:
         value = 1 if tt else 0
-        return ReplacementOption(cone, None, value, n_removable, 0, 0)
-    found = identify_comparison(
-        tt, cone.inputs, perm_budget=perm_budget, seed=seed,
-        max_specs=max_specs, memo=memo,
+        return ReplacementOption(
+            cone, None, value, _removable_gates(circuit, cone), 0, 0
+        )
+    hits, _ = lookup_positions(
+        tt, len(cone.inputs), perm_budget=perm_budget, try_offset=True,
+        seed=seed, max_specs=max_specs, memo=memo,
     )
-    specs = list(found.specs)
-    if exact and not specs:
-        witness = exact_identify(tt, cone.inputs)
-        if witness is not None:
-            specs.append(witness)
-    if not specs:
-        return None
-    spec, cost = best_spec(specs)
-    paths = sum(
-        labels[i] * cost.paths_per_input[i] for i in cone.inputs
-    )
+    best = cheapest_position(hits, cone.inputs)
+    if best is not None:
+        index, unit_gates, per = best
+        perm, lower, upper, complement = hits[index]
+        spec = ComparisonSpec(
+            tuple(cone.inputs[j] for j in perm), lower, upper, complement
+        )
+    else:
+        spec = exact_identify(tt, cone.inputs) if exact else None
+        if spec is None:
+            return None
+        cost = unit_cost(spec)
+        unit_gates = cost.two_input_gates
+        per = tuple(cost.paths_per_input[x] for x in spec.inputs)
+    paths = sum(labels[x] * p for x, p in zip(spec.inputs, per))
     return ReplacementOption(
-        cone, spec, None, n_removable, cost.two_input_gates, paths
+        cone, spec, None, _removable_gates(circuit, cone), unit_gates, paths
+    )
+
+
+def _removable_gates(circuit: Circuit, cone: Cone) -> int:
+    """The paper's ``N``: two-input equivalents of the removable members."""
+    return sum(
+        gate_two_input_equivalents(circuit.gate(m))
+        for m in removable_members(circuit, cone)
     )
 
 

@@ -2,15 +2,39 @@
 
 import random
 
-from repro.analysis import make_cone, path_labels, single_gate_cone
+import pytest
+
+from repro.analysis import (
+    make_cone,
+    path_labels,
+    removable_members,
+    single_gate_cone,
+)
 from repro.benchcircuits import c17, paper_f2_sop
-from repro.netlist import CircuitBuilder, GateType, two_input_gate_count
+from repro.benchcircuits.generator import random_circuit
+from repro.benchcircuits.suite import suite_circuit
+from repro.comparison import best_spec, exact_identify, identify_comparison
+from repro.netlist import (
+    CircuitBuilder,
+    GateType,
+    decompose_two_input,
+    gate_two_input_equivalents,
+    two_input_gate_count,
+)
 from repro.resynth import (
+    ReplacementOption,
     apply_replacement,
     current_paths_on,
+    enumerate_candidate_cones,
     evaluate_cone,
 )
-from repro.sim import outputs_equal, random_words, truth_tables
+from repro.sim import (
+    cone_signature,
+    outputs_equal,
+    random_words,
+    signature_truth_table,
+    truth_tables,
+)
 
 
 class TestEvaluateCone:
@@ -73,6 +97,67 @@ class TestEvaluateCone:
         if opt_shared is not None and opt_private is not None:
             assert opt_shared.removable_gates == 1  # only gate 22
             assert opt_private.removable_gates == 2
+
+
+def reference_evaluate(circuit, cone, labels, seed, exact):
+    """Spec-level pricing: every realization built, ranked by best_spec."""
+    n_removable = sum(gate_two_input_equivalents(circuit.gate(m))
+                      for m in removable_members(circuit, cone))
+    key = cone_signature(circuit, cone.output, cone.members, cone.inputs)
+    tt = signature_truth_table(key, len(cone.inputs))
+    if not cone.inputs:
+        return ReplacementOption(cone, None, tt & 1, n_removable, 0, 0)
+    if tt in (0, (1 << (1 << len(cone.inputs))) - 1):
+        return ReplacementOption(cone, None, 1 if tt else 0, n_removable,
+                                 0, 0)
+    specs = list(identify_comparison(tt, cone.inputs, seed=seed,
+                                     max_specs=6).specs)
+    if exact and not specs:
+        witness = exact_identify(tt, cone.inputs)
+        if witness is not None:
+            specs.append(witness)
+    if not specs:
+        return None
+    spec, cost = best_spec(specs)
+    paths = sum(labels[i] * cost.paths_per_input[i] for i in cone.inputs)
+    return ReplacementOption(cone, spec, None, n_removable,
+                             cost.two_input_gates, paths)
+
+
+class TestPositionLevelPricing:
+    """evaluate_cone == the spec-level reference on every candidate cone."""
+
+    CIRCUITS = {
+        "syn1423": lambda: decompose_two_input(suite_circuit("syn1423")),
+        "random80": lambda: random_circuit("r80", 10, 4, 80, seed=3),
+        "random50": lambda: random_circuit("r50", 10, 4, 50, seed=2),
+    }
+
+    @pytest.mark.parametrize("name,k,exact", [
+        ("syn1423", 6, False),
+        ("random80", 4, False),
+        # The exact fallback prices 39 cones the 200-sample misses.
+        ("random50", 6, True),
+    ])
+    def test_every_candidate_cone(self, name, k, exact):
+        circuit = self.CIRCUITS[name]()
+        labels = path_labels(circuit)
+        cones = options = fallbacks = 0
+        for net in circuit.topological_order():
+            if circuit.gate(net).gtype in (GateType.INPUT, GateType.CONST0,
+                                           GateType.CONST1):
+                continue
+            for cone in enumerate_candidate_cones(circuit, net, k):
+                got = evaluate_cone(circuit, cone, labels, seed=1,
+                                    exact=exact)
+                assert got == reference_evaluate(circuit, cone, labels, 1,
+                                                 exact), cone
+                cones += 1
+                options += got is not None
+                fallbacks += exact and got is not None and evaluate_cone(
+                    circuit, cone, labels, seed=1) is None
+        assert 0 < options < cones
+        assert (fallbacks > 0) == exact
 
 
 class TestApplyReplacement:
