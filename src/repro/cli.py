@@ -381,6 +381,9 @@ def _spec_from_args(args):
 
 
 def _cmd_serve(args) -> int:
+    import signal
+    import time
+
     from .service import (
         ArtifactStore,
         ServiceServer,
@@ -425,16 +428,22 @@ def _cmd_serve(args) -> int:
         return 1
     print(f"repro.service listening on {server.url} "
           f"(store: {store.root}, workers: {args.workers}"
-          f"{memo_note}{task_note}{tenant_note}{queue_note})")
+          f"{memo_note}{task_note}{tenant_note}{queue_note})", flush=True)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    # A service manager stops the service with SIGTERM: stop as on Ctrl-C,
+    # so running jobs go back to the queue and no worker is left behind.
+    previous = signal.signal(signal.SIGTERM, interrupt)
     try:
         while True:
-            import time as _time
-
-            _time.sleep(0.2)
+            time.sleep(0.2)
     except KeyboardInterrupt:
-        print("shutting down")
+        print("shutting down", flush=True)
     finally:
         server.stop()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
@@ -691,7 +700,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--port", type=int, default=8734,
                    help="listen port (0 = ephemeral, printed at startup)")
     p.add_argument("--workers", type=int, default=2,
-                   help="concurrent worker subprocesses")
+                   help="concurrent job workers")
     p.add_argument("--retries", type=int, default=2,
                    help="worker retries per job (resume from checkpoint)")
     p.add_argument("--heartbeat-timeout", type=float, default=30.0,

@@ -3,7 +3,7 @@
 :class:`ResynthesisService` is the in-process engine: a bounded,
 tenant-aware priority admission queue over the artifact store, a
 scheduler thread that leases queued jobs to supervisor threads (each of
-which drives one worker subprocess), the SQLite job index
+which drives one worker process), the SQLite job index
 (:mod:`repro.service.index`) that answers listings without touching
 per-job directories, and the metrics registry.  Usable without HTTP;
 the CLI and tests drive it directly.  The HTTP front end is
@@ -36,7 +36,7 @@ from ..obs import Registry
 from .index import JobIndex, default_index_path
 from .jobspec import JobSpec
 from .store import ArtifactStore
-from .supervisor import SupervisorConfig, WorkerSupervisor
+from .supervisor import SupervisorConfig, WorkerSupervisor, WorkerTemplate
 from .tenants import (
     BackpressureError,
     PUBLIC_TENANT,
@@ -143,7 +143,12 @@ class ResynthesisService:
         self._admit_seq = 0
         self._queued: set = set()
         self._enqueued_at: Dict[str, float] = {}
+        # Jobs holding a worker slot; a job gives its slot back just
+        # before its terminal status is written, and its supervisor
+        # thread ends just after.
         self._active: Dict[str, WorkerSupervisor] = {}
+        self._threads: List[threading.Thread] = []
+        self._template = WorkerTemplate()
         self._job_tenant: Dict[str, str] = {}
         self._tenant_active: Dict[str, int] = {}
         self._lock = threading.Lock()
@@ -176,7 +181,7 @@ class ResynthesisService:
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop scheduling, halt active supervisors (terminating their
-        worker subprocesses), and wait for them to settle.
+        workers), wait for them to settle, then stop the worker template.
 
         Interrupted jobs go back to ``queued`` with their checkpoints
         intact, so a restarted service resumes them — and no orphaned
@@ -188,16 +193,15 @@ class ResynthesisService:
             self._scheduler.join(timeout=timeout)
         with self._lock:
             supervisors = list(self._active.values())
+            threads = list(self._threads)
         for supervisor in supervisors:
             supervisor.stop()
         deadline = time.time() + timeout
         try:
-            while time.time() < deadline:
-                with self._lock:
-                    if not self._active:
-                        return
-                time.sleep(0.05)
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.time()))
         finally:
+            self._template.close()
             if self.task_fabric is not None:
                 self.task_fabric.close()
             if self.store.on_status == self._on_status:
@@ -414,15 +418,18 @@ class ResynthesisService:
             supervisor = WorkerSupervisor(
                 self.store, self.config, metrics=self.metrics,
                 worker_command=self._worker_command,
+                template=self._template, on_settled=self._release,
             )
             self._active[job_id] = supervisor
             self.metrics.set_gauge("service_queue_depth", len(self._queue))
             self.metrics.set_gauge("service_running_jobs",
                                    len(self._active))
-        thread = threading.Thread(
-            target=self._supervise, args=(job_id, supervisor),
-            name=f"repro-service-{job_id}", daemon=True,
-        )
+            thread = threading.Thread(
+                target=self._supervise, args=(job_id, supervisor),
+                name=f"repro-service-{job_id}", daemon=True,
+            )
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
         thread.start()
         return True
 
@@ -430,19 +437,30 @@ class ResynthesisService:
         try:
             supervisor.supervise(job_id)
         finally:
-            with self._lock:
-                self._active.pop(job_id, None)
-                tenant_name = self._job_tenant.pop(job_id, None)
-                if tenant_name is not None and job_id not in self._queued:
-                    left = max(0, self._tenant_active.get(tenant_name, 1)
-                               - 1)
-                    self._tenant_active[tenant_name] = left
-                    self.metrics.set_gauge(
-                        "service_tenant_active_jobs_"
-                        + Tenant(name=tenant_name).metric_suffix, left)
-                self.metrics.set_gauge("service_running_jobs",
-                                       len(self._active))
-            self._wakeup.set()
+            self._release(job_id)  # a no-op unless supervise raised
+
+    def _release(self, job_id: str) -> None:
+        """Give back *job_id*'s worker slot and tenant quota, and set the
+        gauges that count them.
+
+        The supervisor calls this just before it writes the terminal
+        status, so whoever observes that status reads gauges that
+        already agree with it.  It leaves the index alone: ``stop()``
+        closes the index once the supervisor threads have ended.
+        """
+        with self._lock:
+            if self._active.pop(job_id, None) is None:
+                return
+            tenant_name = self._job_tenant.pop(job_id, None)
+            if tenant_name is not None and job_id not in self._queued:
+                left = max(0, self._tenant_active.get(tenant_name, 1) - 1)
+                self._tenant_active[tenant_name] = left
+                self.metrics.set_gauge(
+                    "service_tenant_active_jobs_"
+                    + Tenant(name=tenant_name).metric_suffix, left)
+            self.metrics.set_gauge("service_running_jobs",
+                                   len(self._active))
+        self._wakeup.set()
 
     # -- fabric tasks ---------------------------------------------------- #
 

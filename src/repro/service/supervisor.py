@@ -1,6 +1,6 @@
-"""Worker supervision: subprocess lifecycle, heartbeats, bounded retries.
+"""Worker supervision: worker lifecycle, heartbeats, bounded retries.
 
-Each job attempt runs in a dedicated worker subprocess
+Each job attempt runs in a dedicated worker process
 (:mod:`repro.service.workermain`) so a crash — a Python exception, a
 hard ``os._exit``, an OOM kill — can never take the service down.  The
 supervisor watches the worker's heartbeat file; a worker silent for
@@ -12,25 +12,40 @@ redoing its work — deterministically, so a job's final report does not
 depend on how many times its worker died (the extension of the
 ``repro.parallel`` crash-path discipline that makes retries safe).
 
+Where the platform has ``os.fork``, the real worker command is not
+started as a new interpreter: a :class:`WorkerTemplate` — one process
+that has already imported the worker — forks it, and a
+:class:`ForkedWorker` handle stands in for the ``Popen`` object, so
+heartbeat kills, retries and stop work the same on both paths.  Any
+other command (a test's fake worker) still runs through
+``subprocess.Popen``.  When the template dies, its in-flight attempts
+fail with a reason that names it, their workers are killed before the
+retry launches, and the next launch starts a fresh template.  A
+template that is alive but does not answer in time is killed the same
+way, so no wait on it is unbounded.
+
 After the last attempt the job reaches the terminal ``failed`` state
 carrying the worker's traceback (when the worker could record one) or
 the exit/kill diagnosis (when it could not).
 
 :meth:`WorkerSupervisor.stop` (service shutdown) terminates the current
-worker and puts the job back in ``queued`` — no worker subprocess
-outlives its supervisor, and the job resumes from its checkpoints when
-a service next leases it.
+worker and puts the job back in ``queued`` — no worker process outlives
+its supervisor, and the job resumes from its checkpoints when a service
+next leases it.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import queue
+import signal
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..obs import Registry
 from .store import ArtifactStore
@@ -93,11 +108,21 @@ class JobOutcome:
     traceback: Optional[str] = None
 
 
+#: The real worker's module.  A command that runs it with this
+#: interpreter is forked from the :class:`WorkerTemplate`.
+WORKER_MODULE = "repro.service.workermain"
+
+#: Longest wait for the template to act on a close or a SIGKILL request,
+#: and for the killed workers of a dead template to stop.  A template
+#: that takes longer is killed with its workers.
+_TEMPLATE_WAIT = 5.0
+
+
 def default_worker_command(store: ArtifactStore, job_id: str,
                            config: SupervisorConfig) -> List[str]:
     """The real worker: ``python -m repro.service.workermain``."""
     command = [
-        sys.executable, "-m", "repro.service.workermain",
+        sys.executable, "-m", WORKER_MODULE,
         store.root, job_id,
         "--heartbeat-interval", str(config.heartbeat_interval),
     ]
@@ -129,8 +154,246 @@ def _worker_env() -> dict:
     return env
 
 
+def _running(pid: int) -> bool:
+    """True while *pid* is a live process; a zombie has stopped writing.
+
+    Workers orphaned by a dead template are reaped by whichever process
+    adopts them, possibly never, so liveness is read from ``/proc``
+    where it exists.
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        except PermissionError:
+            pass
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()[0] != b"Z"
+    except OSError:
+        return False
+
+
+class TemplateError(RuntimeError):
+    """The worker template could not fork a worker."""
+
+
+class ForkedWorker:
+    """A ``Popen``-shaped handle on one worker forked by the template.
+
+    The template reaps the worker and reports its exit code; signals go
+    through the template, which delivers them only while the pid is
+    still its unreaped child.
+    """
+
+    def __init__(self, pid: int, template: "_TemplateProcess") -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        #: Why the attempt failed when the template, not the worker,
+        #: ended it.
+        self.failure: Optional[str] = None
+        self._template = template
+        self._exited = threading.Event()
+
+    def _set_exit(self, code: int, failure: Optional[str] = None) -> None:
+        self.failure = failure
+        self.returncode = code
+        self._exited.set()
+
+    def poll(self) -> Optional[int]:
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if not self._exited.wait(timeout):
+            raise subprocess.TimeoutExpired(WORKER_MODULE, timeout)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        if self.returncode is None:
+            self._template.send({"signal": int(signum), "pid": self.pid})
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        """SIGKILL the worker; a template that does not pass the signal
+        on (stopped, or hung) is killed, and the worker with it."""
+        self.send_signal(signal.SIGKILL)
+        if not self._exited.wait(_TEMPLATE_WAIT):
+            self._template.abandon()
+
+
+class _TemplateProcess:
+    """One running template process and the workers it forked.
+
+    A reader thread turns the template's answers into
+    :class:`ForkedWorker` handles and exit codes.  The template leads
+    its own process group, which its workers share; when its output
+    ends, the template is gone, and the whole group is killed before the
+    template is reaped, while its pid still names that group.  Every
+    wait on the template is bounded: one that does not answer in time is
+    killed the same way.
+    """
+
+    def __init__(self) -> None:
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", WORKER_MODULE, "--template"],
+            env=_worker_env(), stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        self.lost = False
+        self._workers: Dict[int, ForkedWorker] = {}
+        self._forked: "queue.Queue[object]" = queue.Queue()
+        self._fork_lock = threading.Lock()  # one answer per fork request
+        self._write_lock = threading.Lock()
+        self._reap_lock = threading.Lock()
+        self._reader = threading.Thread(
+            target=self._read, name="repro-worker-template", daemon=True)
+        self._reader.start()
+
+    def send(self, request: dict) -> None:
+        line = json.dumps(request).encode("utf-8") + b"\n"
+        with self._write_lock:
+            try:
+                self.proc.stdin.write(line)
+                self.proc.stdin.flush()
+            except (OSError, ValueError):
+                pass  # the template is gone; _read settles its workers
+
+    def fork(self, argv: List[str], timeout: float) -> ForkedWorker:
+        """Fork one worker; a template that has not answered within
+        *timeout* seconds is killed."""
+        with self._fork_lock:
+            if self.lost:
+                raise TemplateError("worker template exited")
+            self.send({"fork": argv})
+            try:
+                answer = self._forked.get(timeout=timeout)
+            except queue.Empty:
+                self.abandon()
+                raise TemplateError(
+                    f"worker template did not answer within {timeout:g}s; "
+                    f"killed") from None
+        if isinstance(answer, ForkedWorker):
+            return answer
+        raise TemplateError(answer)
+
+    def close(self) -> None:
+        """Ask the template to exit; it kills its workers first."""
+        self.send({"close": True})
+        self._reader.join(_TEMPLATE_WAIT)
+        if self._reader.is_alive():
+            self.abandon()
+            self._reader.join()
+
+    def abandon(self) -> None:
+        """Kill the template and its workers; the reader then fails the
+        workers' attempts."""
+        self.lost = True
+        with self._reap_lock:
+            if self.proc.returncode is None:  # the pid still names the group
+                try:
+                    os.killpg(self.proc.pid, signal.SIGKILL)
+                except OSError:
+                    pass
+
+    def _read(self) -> None:
+        try:
+            for line in self.proc.stdout:
+                doc = json.loads(line)
+                if "pid" in doc:
+                    worker = ForkedWorker(doc["pid"], self)
+                    self._workers[worker.pid] = worker
+                    self._forked.put(worker)
+                elif "error" in doc:
+                    self._forked.put(
+                        f"worker template could not fork: {doc['error']}")
+                else:
+                    worker = self._workers.pop(doc["exit"], None)
+                    if worker is not None:
+                        worker._set_exit(doc["code"])
+        finally:
+            self._settle()
+
+    def _settle(self) -> None:
+        """The template is gone: kill its workers, then fail them."""
+        self.abandon()
+        with self._reap_lock:
+            code = self.proc.wait()
+        with self._write_lock:
+            try:
+                self.proc.stdin.close()
+            except OSError:
+                pass  # a request the dead template never read
+        self.proc.stdout.close()
+        deadline = time.monotonic() + _TEMPLATE_WAIT
+        while (any(_running(pid) for pid in self._workers)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        reason = (f"worker template exited with code {code}; "
+                  f"its worker was killed")
+        for worker in self._workers.values():
+            worker._set_exit(-signal.SIGKILL, failure=reason)
+        self._workers.clear()
+        self._forked.put(f"worker template exited with code {code}")
+
+
+class WorkerTemplate:
+    """Forks job workers from one pre-imported template process.
+
+    The template starts at the first :meth:`spawn`, a dead one is
+    replaced at the next, and :meth:`close` stops and reaps it.  Thread
+    safe: every supervisor of a service shares one.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._process: Optional[_TemplateProcess] = None
+        self._closed = False
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The running template's pid, if one is running."""
+        process = self._process
+        return None if process is None or process.lost else process.proc.pid
+
+    def spawn(self, argv: List[str], timeout: float) -> ForkedWorker:
+        """Fork a worker that runs ``worker_main(argv)``; a template
+        that has not answered within *timeout* seconds is killed."""
+        with self._lock:
+            if self._closed:
+                raise TemplateError("worker template is closed")
+            if self._process is None or self._process.lost:
+                try:
+                    self._process = _TemplateProcess()
+                except OSError as exc:
+                    raise TemplateError(
+                        f"worker template did not start: {exc}") from exc
+            process = self._process
+        return process.fork(argv, timeout)
+
+    def close(self) -> None:
+        """Stop the template; its remaining workers are killed.  A fork
+        in progress fails rather than holding the close up."""
+        with self._lock:
+            self._closed = True
+            process, self._process = self._process, None
+        if process is not None:
+            process.close()
+
+
 class WorkerSupervisor:
-    """Runs one job to a terminal state through supervised attempts."""
+    """Runs one job to a terminal state through supervised attempts.
+
+    *template* is the :class:`WorkerTemplate` the real worker is forked
+    from, shared by a service's supervisors; without one, the supervisor
+    owns a template for the duration of :meth:`supervise`.  *on_settled*
+    is called with the job id just before the job's terminal status, or
+    its stop re-queue, is written.
+    """
 
     def __init__(
         self,
@@ -141,14 +404,18 @@ class WorkerSupervisor:
             Callable[[ArtifactStore, str, SupervisorConfig], List[str]]
         ] = None,
         sleep: Callable[[float], None] = time.sleep,
+        template: Optional[WorkerTemplate] = None,
+        on_settled: Optional[Callable[[str], None]] = None,
     ) -> None:
         self._store = store
         self._config = config or SupervisorConfig()
         self._metrics = metrics or Registry()
         self._worker_command = worker_command or default_worker_command
         self._sleep = sleep
+        self._template = template
+        self._on_settled = on_settled or (lambda job_id: None)
         self._stop_requested = False
-        self._proc: Optional[subprocess.Popen] = None
+        self._proc = None  # subprocess.Popen or ForkedWorker
         self._proc_lock = threading.Lock()
         self._launched_once = False
 
@@ -191,10 +458,10 @@ class WorkerSupervisor:
         started = time.time()
         # The worker may take a moment to produce its first heartbeat;
         # count the launch itself as liveness until then.
-        proc = subprocess.Popen(
-            cmd, env=_worker_env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        try:
+            proc = self._launch(cmd)
+        except TemplateError as exc:  # e.g. the template closed by stop()
+            return _STOPPED if self._stop_requested else str(exc)
         self._launched_once = True
         with self._proc_lock:
             self._proc = proc
@@ -206,7 +473,8 @@ class WorkerSupervisor:
                         return None
                     if self._stop_requested:
                         return _STOPPED
-                    return f"worker exited with code {code}"
+                    return (getattr(proc, "failure", None)
+                            or f"worker exited with code {code}")
                 if self._stop_requested:
                     self._terminate(proc)
                     return _STOPPED
@@ -222,14 +490,30 @@ class WorkerSupervisor:
                     self._metrics.inc("service_heartbeat_timeouts_total")
                     return (f"worker heartbeat silent for more than "
                             f"{cfg.heartbeat_timeout:g}s; killed")
-                self._sleep(cfg.poll_interval)
+                try:  # returns as soon as the worker exits
+                    proc.wait(timeout=cfg.poll_interval)
+                except subprocess.TimeoutExpired:
+                    pass
         finally:
             with self._proc_lock:
                 self._proc = None
             if proc.poll() is None:
                 self._terminate(proc)
 
-    def _terminate(self, proc: subprocess.Popen) -> None:
+    def _launch(self, cmd: List[str]):
+        """Start one attempt's worker: forked from the template when
+        *cmd* runs the real worker with this interpreter, else a new
+        subprocess."""
+        if (hasattr(os, "fork")
+                and cmd[:3] == [sys.executable, "-m", WORKER_MODULE]):
+            return self._template.spawn(
+                cmd[3:], timeout=self._config.heartbeat_timeout)
+        return subprocess.Popen(
+            cmd, env=_worker_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+    def _terminate(self, proc) -> None:
         proc.terminate()
         try:
             proc.wait(timeout=self._config.kill_grace)
@@ -242,6 +526,16 @@ class WorkerSupervisor:
     def supervise(self, job_id: str) -> JobOutcome:
         """Drive *job_id* from ``queued`` to a terminal state (or back to
         ``queued`` when :meth:`stop` interrupts it)."""
+        if self._template is not None:
+            return self._supervise(job_id)
+        self._template = WorkerTemplate()
+        try:
+            return self._supervise(job_id)
+        finally:
+            self._template.close()
+            self._template = None
+
+    def _supervise(self, job_id: str) -> JobOutcome:
         store = self._store
         cfg = self._config
         attempts = 0
@@ -264,6 +558,7 @@ class WorkerSupervisor:
                 for seconds in report.get("pass_seconds", ()):
                     self._metrics.observe("service_pass_seconds", seconds)
                 self._metrics.inc("service_jobs_succeeded_total")
+                self._on_settled(job_id)
                 store.set_status(job_id, "succeeded", attempts=attempts)
                 store.append_event(job_id, "state", state="succeeded")
                 return JobOutcome(job_id, "succeeded", attempts)
@@ -287,6 +582,7 @@ class WorkerSupervisor:
         message = error["message"] if error else failure
         tb = error["traceback"] if error else None
         self._metrics.inc("service_jobs_failed_total")
+        self._on_settled(job_id)
         store.set_status(
             job_id, "failed", attempts=attempts,
             error=message, traceback=tb, reason=failure,
@@ -300,6 +596,7 @@ class WorkerSupervisor:
         service run resume it deterministically."""
         store = self._store
         self._metrics.inc("service_jobs_stopped_total")
+        self._on_settled(job_id)
         store.set_status(job_id, "queued", attempts=attempts)
         store.append_event(job_id, "stopped", attempt=attempts)
         return JobOutcome(job_id, "stopped", attempts)

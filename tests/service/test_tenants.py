@@ -17,6 +17,7 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
     SupervisorConfig,
+    TERMINAL_STATES,
     Tenant,
     TenantRegistry,
 )
@@ -204,3 +205,43 @@ class TestQuotaAndPriority:
                 == 1
         finally:
             service.stop(timeout=5.0)
+
+    @pytest.mark.parametrize("program, state", [
+        ("pass", "succeeded"), ("import sys; sys.exit(3)", "failed")],
+        ids=["succeeded", "failed"])
+    def test_job_gauges_lead_the_terminal_status(self, tmp_path, program,
+                                                 state):
+        # Whoever observes a terminal status must read gauges that agree
+        # with it: the job no longer runs and no longer counts against
+        # its tenant.
+        import sys
+        import time
+
+        store = ArtifactStore(str(tmp_path / "svc"))
+        service = ResynthesisService(
+            store, config=fast_config(), max_workers=1,
+            tenants=TWO_TENANTS,
+            worker_command=lambda s, j, c: [sys.executable, "-c", program])
+        seen = []
+        index_hook = store.on_status
+
+        def observe(job_id, record):
+            if record["state"] in TERMINAL_STATES:
+                seen.append((record["state"],
+                             service.metrics.gauge_value(
+                                 "service_running_jobs"),
+                             service.metrics.gauge_value(
+                                 "service_tenant_active_jobs_alice")))
+            index_hook(job_id, record)
+
+        store.on_status = observe
+        service.start()
+        try:
+            job_id, _ = service.submit(c17_spec(seed=1),
+                                       TWO_TENANTS.resolve("key-a"))
+            deadline = time.time() + 30.0
+            while not seen and time.time() < deadline:
+                time.sleep(0.01)
+        finally:
+            service.stop(timeout=10.0)
+        assert seen == [(state, 0.0, 0.0)]
