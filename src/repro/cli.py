@@ -669,8 +669,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="wall-clock budget in seconds")
     p.add_argument("--oracle", action="append",
                    choices=("sim", "fault", "resynth", "unit",
-                            "incremental", "parallel", "resume", "memo",
-                            "sweep", "all"),
+                            "incremental", "execution", "all"),
                    default=None,
                    help="oracle to run (repeatable; default all)")
     p.add_argument("--seed-base", type=int, default=0)

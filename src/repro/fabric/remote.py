@@ -33,8 +33,8 @@ infrastructure flake on the worker) and then surface as one clean
 Determinism: workers only ever run registered pure functions, and
 results are keyed back to their task index — so completion order,
 shard-to-worker placement, retries and redispatch are all unobservable
-in the output.  The ``parallel`` fuzz oracle runs serial-vs-remote legs
-at pinned shard counts to enforce exactly that (docs/FABRIC.md).
+in the output.  The ``execution`` fuzz oracle runs serial-vs-remote
+legs at pinned shard counts to enforce exactly that (docs/FABRIC.md).
 """
 
 from __future__ import annotations

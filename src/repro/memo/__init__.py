@@ -12,8 +12,8 @@ coordinators, and service workers alike.
 
 A stored result is returned **verbatim** — a hit is bit-for-bit what the
 local search would have computed, so wiring a memo in cannot change any
-report (the ``memo`` differential oracle in :mod:`repro.verify` fuzzes
-exactly that contract; docs/MEMO.md states it in full).
+report (the memo legs of the ``execution`` differential oracle in
+:mod:`repro.verify.execution` fuzz exactly that contract; docs/MEMO.md states it in full).
 """
 
 from .keys import (

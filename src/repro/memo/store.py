@@ -13,7 +13,8 @@ mapping inside is keyed by the *exact* table, and a lookup returns the
 stored :data:`~repro.comparison.identify.PositionResult` verbatim.  A
 hit is therefore bit-for-bit what :func:`identify_positions` would have
 computed — the store can serve a wrong answer only if a wrong answer was
-stored (which the ``memo`` differential oracle exists to catch).
+stored (which the memo legs of the ``execution`` differential oracle
+exist to catch).
 
 Durability reuses the :mod:`repro.persist` discipline of the service's
 ArtifactStore: same-directory temp + fsync + rename, so concurrent

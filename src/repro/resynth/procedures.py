@@ -138,9 +138,9 @@ class PassCheckpoint:
 
     Captures everything :func:`_run` carries from one pass to the next,
     so a run resumed from a checkpoint produces a report and a result
-    netlist bit-identical to the uninterrupted run (the ``resume``
-    differential oracle in :mod:`repro.verify.oracles` fuzzes exactly
-    that contract; docs/SERVICE.md documents it).
+    netlist bit-identical to the uninterrupted run (the resume legs of
+    the ``execution`` differential oracle in
+    :mod:`repro.verify.execution` fuzz exactly that contract; docs/SERVICE.md documents it).
 
     No RNG state needs snapshotting: every random stream of the sweep —
     identification permutation sampling and the inline verification
@@ -585,8 +585,8 @@ def procedure2(
         Optional persistent identification cache — a
         :class:`repro.memo.MemoStore` or a store directory path.  Purely
         an accelerator: the report is bit-identical with the memo off,
-        cold, or warm (the ``memo`` differential oracle fuzzes this; see
-        docs/MEMO.md).
+        cold, or warm (the memo legs of the ``execution`` differential
+        oracle fuzz this; see docs/MEMO.md).
     fabric:
         Optional :class:`repro.fabric.Fabric` to run candidate
         evaluation on (serial, local process pool, or a remote worker

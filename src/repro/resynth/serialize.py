@@ -2,8 +2,8 @@
 
 One serialization, three consumers: the ``repro-resynth resynth --out
 report.json`` CLI path, the job service's artifact store
-(:mod:`repro.service.store`), and the ``resume`` differential oracle
-(which round-trips every checkpoint through these functions so that
+(:mod:`repro.service.store`), and the resume legs of the ``execution``
+differential oracle (which round-trip every checkpoint through these functions so that
 serialization bugs are caught by the same fuzzing that guards the
 in-memory contract).
 

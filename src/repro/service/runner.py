@@ -5,7 +5,8 @@ subprocess calls it, tests call it in-process, and the determinism
 contract holds either way: a job that is interrupted after any pass and
 re-run resumes from the latest stored checkpoint and produces a report
 and result netlist bit-identical to an uninterrupted run (pinned by the
-``resume`` differential oracle and ``tests/resynth/test_checkpoint.py``).
+resume legs of the ``execution`` differential oracle and
+``tests/resynth/test_checkpoint.py``).
 """
 
 from __future__ import annotations

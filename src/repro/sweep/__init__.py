@@ -15,7 +15,7 @@ over ``(gates, paths, depth)``:
   resumes bit-identically with only unfinished cells re-run.
 * :class:`SweepReport` (:mod:`report`) — the per-cell table plus the
   non-dominated front, checked against a brute-force dominance scan by
-  the ``sweep`` differential oracle.
+  the ``execution`` differential oracle.
 
 Entry points: ``repro-resynth sweep --grid grid.json`` on the CLI,
 ``POST /sweeps`` on the service (docs/SWEEP.md has the full contract).

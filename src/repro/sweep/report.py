@@ -15,8 +15,8 @@ cell order; cells with *equal* objective triples are all kept (they are
 interchangeable trade-off points, and dropping one would make the front
 depend on expansion order in a way nothing else does).  Fronts are
 per-circuit — comparing gate counts across different circuits is
-meaningless — and the ``sweep`` differential oracle checks every front
-against an independent brute-force dominance scan.
+meaningless — and the ``execution`` differential oracle checks every
+front against an independent brute-force dominance scan.
 
 Determinism: everything in a row except ``wall_s`` (and the timings a
 cell report itself carries) is a pure function of the cell's spec —
@@ -61,8 +61,8 @@ def pareto_front(points: Sequence[Sequence[int]]) -> List[int]:
     """Indices of the non-dominated *points*, in input order.
 
     O(n^2) pairwise scan — sweeps have tens to hundreds of cells, and
-    the obviousness is the point: the ``sweep`` oracle uses this same
-    definition, implemented independently, as its referee.
+    the obviousness is the point: the ``execution`` oracle uses this
+    same definition, implemented independently, as its referee.
     """
     out = []
     for i, p in enumerate(points):

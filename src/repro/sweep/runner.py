@@ -20,8 +20,8 @@ Durability contract (the sweep analogue of the job store's):
   launched — so an interrupted sweep loses at most one wave of compute
   and ``resume=True`` re-runs only the cells without a stored report.
   Tasks are pure functions of their cell spec, so the resumed sweep's
-  report is bit-identical to an uninterrupted run's (the ``sweep``
-  oracle and ``scripts/sweep_smoke.py`` pin this).
+  report is bit-identical to an uninterrupted run's (the ``execution``
+  oracle's ``sweep resumed`` leg pins this).
 
 Obs: a ``sweep.run`` span wraps the run; ``sweep_cells_total`` /
 ``sweep_cells_resumed_total`` count work done vs. skipped, and

@@ -6,8 +6,8 @@ each of which is exactly one :class:`~repro.service.jobspec.JobSpec`.
 That identity is the whole design: a cell's id *is* its job spec's
 content address, so a sweep cell dedupes against (and its report is
 bit-identical to, on the deterministic fields) a standalone ``resynth``
-run of the same (circuit, procedure, K, seed) — pinned by the ``sweep``
-differential oracle and ``scripts/sweep_smoke.py``.
+run of the same (circuit, procedure, K, seed) — pinned cell by cell by
+the ``execution`` differential oracle and ``tests/sweep/test_runner.py``.
 
 Like job specs, sweep specs are content-addressed: the sweep id is a
 SHA-256 prefix of the canonical JSON encoding, so resubmitting an

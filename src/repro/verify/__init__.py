@@ -3,8 +3,9 @@
 The correctness tooling for the rest of the package: a naive scalar
 reference interpreter, pluggable differential oracles that cross-check the
 independent engines (packed simulation, event-driven fault simulation, the
-PODEM miter, comparison-unit construction, the serial-vs-parallel
-resynthesis sweep, checkpoint/resume of the sweep), a delta-debugging
+PODEM miter, comparison-unit construction, incremental maintenance, and
+every way of executing a resynthesis run: fabric backends, resume, memo
+states and sweep cells), a delta-debugging
 counterexample shrinker, deterministic JSON repro artifacts, and a seeded
 fuzz driver with seed- and time-budgeted modes.
 
@@ -19,6 +20,12 @@ from .artifact import (
     replay_artifact,
     write_artifact,
 )
+from .execution import (
+    ExecutionOracle,
+    brute_force_front,
+    diverged_fields,
+    netlist_dump,
+)
 from .fuzz import (
     FuzzConfig,
     FuzzFinding,
@@ -30,18 +37,14 @@ from .oracles import (
     ComparisonUnitOracle,
     FaultSimOracle,
     IncrementalOracle,
-    MemoOracle,
     ORACLE_NAMES,
     Oracle,
-    ParallelOracle,
-    ResumeOracle,
     ResynthOracle,
     SimulatorOracle,
     Violation,
     default_oracles,
     incremental_state_mismatch,
     inject_stuck_fault,
-    netlist_dump,
     spec_from_seed,
 )
 from .refsim import (
@@ -54,23 +57,23 @@ from .shrink import ShrinkResult, shrink_circuit
 
 __all__ = [
     "ComparisonUnitOracle",
+    "ExecutionOracle",
     "FaultSimOracle",
     "FuzzConfig",
     "FuzzFinding",
     "FuzzReport",
     "IncrementalOracle",
-    "MemoOracle",
     "ORACLE_NAMES",
     "Oracle",
-    "ParallelOracle",
     "ReproArtifact",
-    "ResumeOracle",
     "ResynthOracle",
     "ShrinkResult",
     "SimulatorOracle",
     "Violation",
+    "brute_force_front",
     "buggy_gate_eval",
     "default_oracles",
+    "diverged_fields",
     "generate_case",
     "incremental_state_mismatch",
     "inject_stuck_fault",

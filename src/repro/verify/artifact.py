@@ -24,6 +24,15 @@ from .oracles import Oracle, Violation
 ARTIFACT_FORMAT = "repro-verify-repro"
 ARTIFACT_VERSION = 1
 
+#: Retired oracle names -> the oracle that now makes their checks, so
+#: artifacts written under the old names still replay unchanged.
+ORACLE_ALIASES = {
+    "parallel": "execution",
+    "resume": "execution",
+    "memo": "execution",
+    "sweep": "execution",
+}
+
 
 @dataclass
 class ReproArtifact:
@@ -112,12 +121,15 @@ def replay_artifact(
 
     Circuit-carrying artifacts replay through ``check_circuit`` on the
     stored witness; seed-only artifacts replay through ``check_seed``.
-    An empty result means the failure no longer reproduces (i.e. the bug
-    is fixed — which is what the corpus regression test asserts).
+    An artifact of a retired oracle replays through the oracle named in
+    :data:`ORACLE_ALIASES`.  An empty result means the failure no longer
+    reproduces (i.e. the bug is fixed — which is what the corpus
+    regression test asserts).
     """
-    matching = [o for o in oracles if o.name == artifact.oracle]
+    name = ORACLE_ALIASES.get(artifact.oracle, artifact.oracle)
+    matching = [o for o in oracles if o.name == name]
     if not matching:
-        raise ValueError(f"no oracle named {artifact.oracle!r} supplied")
+        raise ValueError(f"no oracle named {name!r} supplied")
     oracle = matching[0]
     if artifact.circuit is not None and oracle.uses_circuit:
         return oracle.check_circuit(artifact.circuit, artifact.seed)

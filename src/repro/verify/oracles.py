@@ -30,26 +30,11 @@ executable check over a (usually randomly generated) instance:
     mutation of a seeded random mutation sequence applied to the fuzz
     circuit (:mod:`repro.netlist.incremental` provides the ground-truth
     rebuilds).
-``parallel``
-    Procedures 2 and 3 run inline and on a two-worker process fabric
-    (the ``jobs=2`` leg) must produce bit-identical reports *and*
-    bit-identical result netlists — the :mod:`repro.parallel`
-    determinism contract, checked with the shared identification cache
-    cleared between runs so the parallel run genuinely consumes
-    worker-computed results.
-``resume``
-    A sweep killed after a random pass and resumed from its serialized
-    checkpoint must produce a report and a result netlist bit-identical
-    to the uninterrupted run — the checkpoint/resume contract of
-    :mod:`repro.service` (docs/SERVICE.md), checked with the
-    identification cache cleared before the resumed leg so it is as cold
-    as a genuinely restarted worker process.
-``memo``
-    Procedures 2 and 3 assisted by the persistent identification cache
-    (:mod:`repro.memo`) — recording cold, replaying warm, replaying
-    after a JSON round-trip of every entry file, on a two-worker process
-    fabric and resumed from a checkpoint — must all be bit-identical to a memo-less
-    baseline (docs/MEMO.md: the store may only change the wall clock).
+``execution``
+    Every way of executing Procedures 2 and 3 — fabric backends, resume,
+    memo states and sweep cells — must reproduce the inline serial run's
+    report and result netlist bit for bit (:mod:`repro.verify.execution`
+    holds the oracle and its leg table).
 
 Violations carry enough context to reproduce: the seed, a message, the
 offending circuit (when one exists) and structured details.  The fuzz
@@ -59,10 +44,7 @@ persists them as JSON artifacts (:mod:`repro.verify.artifact`).
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -393,653 +375,6 @@ class ResynthOracle(Oracle):
         return violations
 
 
-def netlist_dump(circuit: Circuit):
-    """A bit-comparable structural dump (topo-ordered gates + outputs).
-
-    Two circuits with equal dumps are gate-for-gate, name-for-name,
-    order-for-order identical — the comparison the ``parallel`` and
-    ``resume`` determinism oracles run on result netlists.
-    """
-    return (
-        [
-            (net, circuit.gate(net).gtype.value,
-             tuple(circuit.gate(net).fanins))
-            for net in circuit.topological_order()
-        ],
-        list(circuit.outputs),
-    )
-
-
-# --------------------------------------------------------------------- #
-# parallel: serial sweep vs worker-pool sweep
-# --------------------------------------------------------------------- #
-
-
-class ParallelOracle(Oracle):
-    """Backend equivalence of the resynthesis procedures.
-
-    Runs Procedures 2 and 3 on every fan-out path against the inline
-    serial reference — a local process fabric (the ``jobs=2`` leg) and,
-    when enabled, a :class:`~repro.fabric.RemoteFabric` over a real
-    in-process service server at pinned shard counts 1 and 2 — and
-    requires the reports and the resulting netlists to agree bit for bit
-    (the :mod:`repro.parallel` / :mod:`repro.fabric` determinism
-    contract; docs/FABRIC.md).  The process-global identification cache
-    is cleared before each run: without that, the serial run would
-    pre-answer every question the workers are supposed to answer, and a
-    wrong worker-side result could never be observed.
-
-    The remote legs cross the full JSON wire (``POST /tasks`` on a
-    ``task_workers=1`` server), so the oracle also fuzzes the codecs of
-    :mod:`repro.fabric.tasks` with generated circuits.
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        k: int = 4,
-        perm_budget: int = 24,
-        max_passes: int = 2,
-        max_inputs: int = 8,
-        jobs: int = 2,
-        remote: bool = True,
-        remote_shards: Tuple[int, ...] = (1, 2),
-    ) -> None:
-        self._k = k
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-        self._jobs = jobs
-        self._remote = remote
-        self._remote_shards = tuple(remote_shards)
-        self._server = None
-
-    def _server_url(self) -> str:
-        """One lazily started task server shared by every remote leg."""
-        if self._server is None:
-            import tempfile
-
-            from ..service import ArtifactStore, ServiceServer
-
-            root = tempfile.mkdtemp(prefix="repro-fuzz-fabric-")
-            self._server = ServiceServer(ArtifactStore(root),
-                                         task_workers=1)
-            self._server.start()
-        return self._server.url
-
-    def _legs(self):
-        """``(label, procedure-kwargs factory)`` per non-reference leg."""
-        from ..fabric import ProcessFabric
-
-        legs = [(f"jobs={self._jobs}",
-                 lambda: {"fabric": ProcessFabric(self._jobs)})]
-        if self._remote:
-            from ..fabric.remote import RemoteFabric
-
-            for shards in self._remote_shards:
-                legs.append((
-                    f"remote shards={shards}",
-                    lambda shards=shards: {"fabric": RemoteFabric(
-                        [self._server_url()], shards=shards,
-                        heartbeat_timeout=60.0)},
-                ))
-        return legs
-
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        from ..comparison import identification_cache
-        from ..resynth import procedure2, procedure3
-
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        violations: List[Violation] = []
-        common = dict(
-            k=self._k,
-            perm_budget=self._perm_budget,
-            seed=seed,
-            max_passes=self._max_passes,
-            verify_patterns=0,
-        )
-        numbers = (
-            "passes", "replacements", "gates_before", "gates_after",
-            "paths_before", "paths_after",
-        )
-        for proc in (procedure2, procedure3):
-            identification_cache().clear()
-            serial = proc(circuit, **common)
-            for label, make_kwargs in self._legs():
-                identification_cache().clear()
-                kwargs = make_kwargs()
-                fabric = kwargs.get("fabric")
-                try:
-                    leg = proc(circuit, **common, **kwargs)
-                finally:
-                    if fabric is not None:
-                        fabric.close()
-                diverged = [
-                    f for f in numbers
-                    if getattr(serial, f) != getattr(leg, f)
-                ]
-                if not diverged and (
-                    netlist_dump(serial.circuit)
-                    != netlist_dump(leg.circuit)
-                ):
-                    diverged = ["netlist"]
-                if diverged:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"{proc.__name__} diverged between the serial "
-                        f"run and {label} on: {', '.join(diverged)} "
-                        f"(serial: {serial.summary()}; "
-                        f"{label}: {leg.summary()})",
-                        circuit=circuit,
-                        details={
-                            "procedure": proc.__name__,
-                            "diverged": diverged,
-                            "leg": label,
-                            "serial": {
-                                f: getattr(serial, f) for f in numbers
-                            },
-                            label: {f: getattr(leg, f) for f in numbers},
-                        },
-                    ))
-            identification_cache().clear()
-        return violations
-
-
-# --------------------------------------------------------------------- #
-# resume: straight-through sweep vs kill-at-a-pass + checkpoint resume
-# --------------------------------------------------------------------- #
-
-
-class ResumeOracle(Oracle):
-    """Checkpoint/resume equivalence of the resynthesis procedures.
-
-    Runs Procedures 2 and 3 straight through while collecting every
-    pass-boundary checkpoint, then simulates a worker killed after a
-    seed-chosen pass: the checkpoint is round-tripped through its JSON
-    serialization (so the oracle also fuzzes
-    :mod:`repro.resynth.serialize`), the process-global identification
-    cache is cleared (a restarted worker is cold), and the run is
-    resumed.  The resumed report must match the uninterrupted one on
-    every deterministic field and the result netlists must agree bit for
-    bit — the contract that makes the job service's crash recovery
-    invisible in its results (docs/SERVICE.md).
-    """
-
-    name = "resume"
-
-    def __init__(
-        self,
-        k: int = 4,
-        perm_budget: int = 24,
-        max_passes: int = 3,
-        max_inputs: int = 8,
-    ) -> None:
-        self._k = k
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        from ..comparison import identification_cache
-        from ..resynth import (
-            REPORT_NUMBER_FIELDS,
-            checkpoint_from_json,
-            checkpoint_to_json,
-            procedure2,
-            procedure3,
-        )
-
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        violations: List[Violation] = []
-        rng = random.Random((seed << 16) ^ 0x2E5E)
-        for proc in (procedure2, procedure3):
-            checkpoints = []
-            identification_cache().clear()
-            straight = proc(
-                circuit,
-                k=self._k,
-                perm_budget=self._perm_budget,
-                seed=seed,
-                max_passes=self._max_passes,
-                verify_patterns=0,
-                on_pass=checkpoints.append,
-            )
-            if not checkpoints:
-                continue  # cannot happen (>=1 pass always runs); defensive
-            kill_after = rng.choice(checkpoints)
-            restored = checkpoint_from_json(checkpoint_to_json(kill_after))
-            identification_cache().clear()
-            resumed = proc(
-                circuit,
-                k=self._k,
-                perm_budget=self._perm_budget,
-                seed=seed,
-                max_passes=self._max_passes,
-                verify_patterns=0,
-                resume=restored,
-            )
-            identification_cache().clear()
-            diverged = [
-                f for f in REPORT_NUMBER_FIELDS
-                if getattr(straight, f) != getattr(resumed, f)
-            ]
-            if not diverged and (
-                netlist_dump(straight.circuit)
-                != netlist_dump(resumed.circuit)
-            ):
-                diverged = ["netlist"]
-            if diverged:
-                violations.append(Violation(
-                    self.name, seed,
-                    f"{proc.__name__} diverged after resume from the "
-                    f"pass-{kill_after.pass_no} checkpoint on: "
-                    f"{', '.join(diverged)} "
-                    f"(straight: {straight.summary()}; "
-                    f"resumed: {resumed.summary()})",
-                    circuit=circuit,
-                    details={
-                        "procedure": proc.__name__,
-                        "diverged": diverged,
-                        "killed_after_pass": kill_after.pass_no,
-                        "straight": {
-                            f: getattr(straight, f)
-                            for f in REPORT_NUMBER_FIELDS
-                        },
-                        "resumed": {
-                            f: getattr(resumed, f)
-                            for f in REPORT_NUMBER_FIELDS
-                        },
-                    },
-                ))
-        return violations
-
-
-# --------------------------------------------------------------------- #
-# memo: cold sweep vs persistent-identification-cache sweep
-# --------------------------------------------------------------------- #
-
-
-class MemoOracle(Oracle):
-    """Cached ≡ cold equivalence of the persistent identification memo.
-
-    For Procedures 2 and 3, a memo-less baseline run is compared bit for
-    bit (every :data:`~repro.resynth.REPORT_NUMBER_FIELDS` entry plus the
-    result netlist) against five memo-assisted runs on one shared
-    :class:`repro.memo.MemoStore` directory:
-
-    1. ``cold`` — an empty store being *written* (recording must not
-       perturb the sweep);
-    2. ``warm`` — a fresh store instance over the now-populated
-       directory (every identification answered from disk); the oracle
-       also demands a nonzero hit count, so a silently dead cache cannot
-       pass;
-    3. ``roundtrip`` — warm again, after every entry file is re-parsed
-       and re-serialized with different JSON formatting (the store's
-       value encoding must survive the round trip exactly);
-    4. ``jobs`` — a run over the warm store on a two-worker process
-       fabric (the parallel primer consults the memo before shipping
-       searches);
-    5. ``resume`` — a warm-store run resumed from a seed-chosen
-       pass-boundary checkpoint of the baseline.
-
-    The process-global identification cache is cleared before every leg:
-    without that, the in-process tier would pre-answer every question the
-    memo is supposed to answer, and a wrong stored result could never be
-    observed.
-    """
-
-    name = "memo"
-
-    def __init__(
-        self,
-        k: int = 4,
-        perm_budget: int = 24,
-        max_passes: int = 2,
-        max_inputs: int = 8,
-        jobs: int = 2,
-    ) -> None:
-        self._k = k
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-        self._jobs = jobs
-
-    def _run(self, proc, circuit: Circuit, seed: int, **kw):
-        from ..comparison import identification_cache
-
-        identification_cache().clear()
-        return proc(
-            circuit,
-            k=self._k,
-            perm_budget=self._perm_budget,
-            seed=seed,
-            max_passes=self._max_passes,
-            verify_patterns=0,
-            **kw,
-        )
-
-    @staticmethod
-    def _roundtrip_store(root: str) -> None:
-        """Re-serialize every entry file with different formatting."""
-        entries = os.path.join(root, "entries")
-        for dirpath, _dirs, names in os.walk(entries):
-            for fname in names:
-                if not fname.endswith(".json"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, separators=(",", ":"),
-                              sort_keys=False)
-
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        from ..comparison import identification_cache
-        from ..fabric import ProcessFabric
-        from ..memo import MemoStore
-        from ..resynth import REPORT_NUMBER_FIELDS, procedure2, procedure3
-
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        violations: List[Violation] = []
-        rng = random.Random((seed << 16) ^ 0x3E30)
-        for proc in (procedure2, procedure3):
-            with tempfile.TemporaryDirectory(prefix="memo-oracle-") as root:
-                checkpoints = []
-                baseline = self._run(proc, circuit, seed,
-                                     on_pass=checkpoints.append)
-                cold_store = MemoStore(root)
-                legs = [("cold", self._run(
-                    proc, circuit, seed, memo=cold_store))]
-                warm_store = MemoStore(root)
-                legs.append(("warm", self._run(
-                    proc, circuit, seed, memo=warm_store)))
-                if cold_store.stats.puts and not warm_store.stats.hits:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"{proc.__name__}: warm store served no hits "
-                        f"({cold_store.stats.puts} results were recorded)",
-                        circuit=circuit,
-                        details={"procedure": proc.__name__,
-                                 "puts": cold_store.stats.puts},
-                    ))
-                self._roundtrip_store(root)
-                legs.append(("roundtrip", self._run(
-                    proc, circuit, seed, memo=MemoStore(root))))
-                with ProcessFabric(self._jobs) as fabric:
-                    legs.append(("jobs", self._run(
-                        proc, circuit, seed, memo=MemoStore(root),
-                        fabric=fabric)))
-                if checkpoints:
-                    resume_from = rng.choice(checkpoints)
-                    legs.append(("resume", self._run(
-                        proc, circuit, seed, memo=MemoStore(root),
-                        resume=resume_from)))
-                identification_cache().clear()
-                base_dump = netlist_dump(baseline.circuit)
-                for leg, report in legs:
-                    diverged = [
-                        f for f in REPORT_NUMBER_FIELDS
-                        if getattr(baseline, f) != getattr(report, f)
-                    ]
-                    if not diverged and (
-                        netlist_dump(report.circuit) != base_dump
-                    ):
-                        diverged = ["netlist"]
-                    if diverged:
-                        violations.append(Violation(
-                            self.name, seed,
-                            f"{proc.__name__} diverged between the "
-                            f"memo-less baseline and the {leg!r} memo leg "
-                            f"on: {', '.join(diverged)} "
-                            f"(baseline: {baseline.summary()}; "
-                            f"{leg}: {report.summary()})",
-                            circuit=circuit,
-                            details={
-                                "procedure": proc.__name__,
-                                "leg": leg,
-                                "diverged": diverged,
-                                "baseline": {
-                                    f: getattr(baseline, f)
-                                    for f in REPORT_NUMBER_FIELDS
-                                },
-                                leg: {
-                                    f: getattr(report, f)
-                                    for f in REPORT_NUMBER_FIELDS
-                                },
-                            },
-                        ))
-        return violations
-
-
-# --------------------------------------------------------------------- #
-# sweep: backend/resume equivalence of whole sweep grids + front check
-# --------------------------------------------------------------------- #
-
-
-class SweepOracle(Oracle):
-    """Backend, resume and front invariants of :mod:`repro.sweep`.
-
-    Builds a small grid over the fuzz circuit (inline netlist x
-    Procedures 2 and 3 x two K values) and runs it through every
-    :class:`~repro.sweep.SweepRunner` backend — serial (the reference),
-    a process pool, and a :class:`~repro.fabric.RemoteFabric` over a
-    real in-process service server (so each ``resynth_cell`` task
-    crosses the full JSON wire) — plus a **resume** leg: a finished
-    serial sweep with a seed-chosen subset of its cell files deleted,
-    re-run with ``resume=True``, which must re-execute exactly the
-    deleted cells and nothing else.  Every leg's report rows must agree
-    with the reference on :data:`~repro.sweep.SWEEP_ROW_NUMBER_FIELDS`
-    and on the front.
-
-    Independently of leg agreement, the reference front itself is
-    checked against a from-scratch dominance scan written here (not the
-    library's :func:`~repro.sweep.pareto_front`), and one seed-chosen
-    cell is re-run as a *standalone* procedure call to pin the cell ==
-    job bit-identity contract (docs/SWEEP.md).
-    """
-
-    name = "sweep"
-
-    def __init__(
-        self,
-        ks: Tuple[int, ...] = (3, 4),
-        perm_budget: int = 24,
-        max_passes: int = 2,
-        max_inputs: int = 8,
-        remote: bool = True,
-    ) -> None:
-        self._ks = tuple(ks)
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-        self._remote = remote
-        self._server = None
-
-    def _server_url(self) -> str:
-        """One lazily started task server shared by every remote leg."""
-        if self._server is None:
-            from ..service import ArtifactStore, ServiceServer
-
-            root = tempfile.mkdtemp(prefix="repro-fuzz-sweep-")
-            self._server = ServiceServer(ArtifactStore(root),
-                                         task_workers=1)
-            self._server.start()
-        return self._server.url
-
-    @staticmethod
-    def _brute_force_front(rows: List[Dict[str, object]]) -> set:
-        """Independent dominance scan (the referee for the front)."""
-        front = set()
-        for row in rows:
-            a = (row["gates_after"], row["paths_after"], row["depth"])
-            dominated = False
-            for other in rows:
-                if other is row:
-                    continue
-                b = (other["gates_after"], other["paths_after"],
-                     other["depth"])
-                if b[0] <= a[0] and b[1] <= a[1] and b[2] <= a[2] \
-                        and b != a:
-                    dominated = True
-                    break
-            if not dominated:
-                front.add(row["cell_id"])
-        return front
-
-    def _run_leg(self, spec, root: str, fabric=None, resume: bool = False,
-                 on_cell=None):
-        from ..comparison import identification_cache
-        from ..sweep import SweepRunner
-
-        identification_cache().clear()
-        try:
-            return SweepRunner(spec, root, fabric=fabric).run(
-                resume=resume, on_cell=on_cell)
-        finally:
-            if fabric is not None:
-                fabric.close()
-
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        import shutil
-
-        from ..comparison import identification_cache
-        from ..fabric import ProcessFabric
-        from ..io.json_io import circuit_to_json
-        from ..service.runner import procedure_call
-        from ..sweep import SWEEP_ROW_NUMBER_FIELDS, SweepSpec, cell_row
-
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        netlist = json.loads(circuit_to_json(circuit))
-        spec = SweepSpec(
-            circuits=(netlist,),
-            procedures=("procedure2", "procedure3"),
-            ks=self._ks,
-            seeds=(seed,),
-            perm_budget=self._perm_budget,
-            max_passes=self._max_passes,
-            verify_patterns=0,
-        )
-        rng = random.Random((seed << 16) ^ 0x53EE)
-        violations: List[Violation] = []
-        work = tempfile.mkdtemp(prefix="repro-fuzz-sweepdir-")
-        try:
-            reference = self._run_leg(spec, os.path.join(work, "serial"))
-            legs = [("process jobs=2", self._run_leg(
-                spec, os.path.join(work, "process"),
-                fabric=ProcessFabric(2)))]
-            if self._remote:
-                from ..fabric.remote import RemoteFabric
-
-                legs.append(("remote shards=2", self._run_leg(
-                    spec, os.path.join(work, "remote"),
-                    fabric=RemoteFabric([self._server_url()], shards=2,
-                                        heartbeat_timeout=60.0))))
-            # Resume leg: finish serially, delete a cell subset + the
-            # aggregate, re-run with resume=True; only deleted cells may
-            # re-execute.
-            resume_root = os.path.join(work, "resume")
-            self._run_leg(spec, resume_root)
-            cells = spec.cells()
-            victims = sorted(
-                {rng.choice(cells).cell_id for _ in range(2)})
-            for cell_id in victims:
-                os.unlink(os.path.join(resume_root, "cells",
-                                       f"{cell_id}.json"))
-            os.unlink(os.path.join(resume_root, "report.json"))
-            executed: List[str] = []
-            resumed = self._run_leg(
-                spec, resume_root, resume=True,
-                on_cell=lambda cell, doc: executed.append(cell.cell_id))
-            if sorted(executed) != victims:
-                violations.append(Violation(
-                    self.name, seed,
-                    f"resumed sweep re-ran {sorted(executed)} instead of "
-                    f"exactly the deleted cells {victims}",
-                    circuit=circuit,
-                    details={"executed": sorted(executed),
-                             "deleted": victims},
-                ))
-            legs.append(("resumed", resumed))
-            # Leg agreement on the deterministic row fields and front.
-            ref_rows = {row["cell_id"]: row for row in reference.rows}
-            for label, leg in legs:
-                for row in leg.rows:
-                    ref = ref_rows.get(row["cell_id"])
-                    diverged = [
-                        f for f in SWEEP_ROW_NUMBER_FIELDS
-                        if ref is None or ref[f] != row[f]
-                    ]
-                    if diverged:
-                        violations.append(Violation(
-                            self.name, seed,
-                            f"sweep cell {row['cell_id']} diverged "
-                            f"between serial and {label} on: "
-                            f"{', '.join(diverged)}",
-                            circuit=circuit,
-                            details={"leg": label, "cell": row["cell_id"],
-                                     "diverged": diverged,
-                                     "serial": ref, label: row},
-                        ))
-                if leg.front != reference.front:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"sweep front diverged between serial and "
-                        f"{label}: {reference.front} vs {leg.front}",
-                        circuit=circuit,
-                        details={"leg": label,
-                                 "serial": reference.front,
-                                 label: leg.front},
-                    ))
-            # The reference front vs an independent dominance scan.
-            for name, front_ids in reference.front.items():
-                group = [row for row in reference.rows
-                         if row["circuit"] == name]
-                expected = self._brute_force_front(group)
-                if set(front_ids) != expected:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"Pareto front of {name!r} disagrees with the "
-                        f"brute-force dominance scan: {sorted(front_ids)}"
-                        f" vs {sorted(expected)}",
-                        circuit=circuit,
-                        details={"circuit": name,
-                                 "front": sorted(front_ids),
-                                 "brute_force": sorted(expected)},
-                    ))
-            # One cell vs a standalone procedure run (cell == job).
-            probe = rng.choice(cells)
-            identification_cache().clear()
-            from ..service.jobspec import resolve_circuit
-
-            standalone = procedure_call(probe.spec)(
-                resolve_circuit(probe.spec))
-            from ..resynth.serialize import report_to_doc
-
-            standalone_row = cell_row(probe, report_to_doc(standalone))
-            ref = ref_rows[probe.cell_id]
-            diverged = [f for f in SWEEP_ROW_NUMBER_FIELDS
-                        if ref[f] != standalone_row[f]]
-            if diverged:
-                violations.append(Violation(
-                    self.name, seed,
-                    f"sweep cell {probe.cell_id} diverged from the "
-                    f"standalone {probe.procedure} run on: "
-                    f"{', '.join(diverged)}",
-                    circuit=circuit,
-                    details={"cell": probe.cell_id, "diverged": diverged,
-                             "sweep": ref, "standalone": standalone_row},
-                ))
-            identification_cache().clear()
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
-        return violations
-
-
 # --------------------------------------------------------------------- #
 # unit: comparison-unit construction invariants
 # --------------------------------------------------------------------- #
@@ -1366,7 +701,7 @@ class IncrementalOracle(Oracle):
 
 #: Construction order for ``--oracle all``.
 ORACLE_NAMES = ("sim", "fault", "resynth", "unit", "incremental",
-                "parallel", "resume", "memo", "sweep")
+                "execution")
 
 
 def default_oracles(
@@ -1374,16 +709,15 @@ def default_oracles(
     gate_eval: GateEval = eval_gate,
 ) -> List[Oracle]:
     """Instantiate the standard oracle set (optionally a named subset)."""
+    from .execution import ExecutionOracle
+
     factories = {
         "sim": lambda: SimulatorOracle(gate_eval=gate_eval),
         "fault": FaultSimOracle,
         "resynth": ResynthOracle,
         "unit": ComparisonUnitOracle,
         "incremental": IncrementalOracle,
-        "parallel": ParallelOracle,
-        "resume": ResumeOracle,
-        "memo": MemoOracle,
-        "sweep": SweepOracle,
+        "execution": ExecutionOracle,
     }
     wanted = list(names) if names else list(ORACLE_NAMES)
     oracles: List[Oracle] = []

@@ -2,8 +2,9 @@
 
 A procedure run with ``fabric=`` must produce a report and netlist
 bit-identical to the plain serial run — for any backend, at any shard
-count.  The ``parallel`` fuzz oracle sweeps this across random circuits;
-these tests pin one deliberate case per backend, including a remote leg
+count.  The fabric legs of the ``execution`` fuzz oracle
+(:mod:`repro.verify.execution`) sweep this across random circuits; these
+tests pin one deliberate case per backend, including a remote leg
 against a real in-process service server.
 """
 
@@ -13,24 +14,10 @@ from repro.benchcircuits.suite import suite_circuit
 from repro.comparison import identification_cache
 from repro.fabric import SerialFabric
 from repro.resynth import procedure2
+from repro.verify import diverged_fields
 
 #: Small knobs so the three runs stay seconds-scale.
 KNOBS = dict(k=4, perm_budget=24, seed=3, max_passes=2, verify_patterns=0)
-
-REPORT_FIELDS = ("objective", "k", "passes", "replacements",
-                 "gates_before", "gates_after", "paths_before",
-                 "paths_after")
-
-
-def netlist_dump(circuit):
-    return (
-        [
-            (net, circuit.gate(net).gtype.value,
-             tuple(circuit.gate(net).fanins))
-            for net in circuit.topological_order()
-        ],
-        list(circuit.outputs),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +29,7 @@ def baseline():
 
 
 def assert_identical(report, baseline):
-    for field in REPORT_FIELDS:
-        assert getattr(report, field) == getattr(baseline, field), field
-    assert netlist_dump(report.circuit) == netlist_dump(baseline.circuit)
+    assert diverged_fields(baseline, report) == []
 
 
 class TestFabricBitIdentity:

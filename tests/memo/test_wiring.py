@@ -2,8 +2,8 @@
 
 Pins the invariant the whole subsystem rests on: a memo-assisted sweep
 is bit-identical to a memo-less one — the store only changes the wall
-clock (the ``memo`` differential oracle fuzzes this; here the wiring
-paths are exercised deterministically).
+clock (the memo legs of the ``execution`` differential oracle fuzz
+this; here the wiring paths are exercised deterministically).
 """
 
 import re

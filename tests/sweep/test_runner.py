@@ -2,7 +2,8 @@
 
 Cheap real runs over c17 (inline netlist, tiny budgets) — every test
 executes genuine resynthesis cells, so the bit-identity assertions are
-about the real pipeline, not mocks.
+about the real pipeline, not mocks.  One grid spans two circuits, a
+suite name and an inline netlist, so it has two fronts.
 """
 
 import json
@@ -10,16 +11,19 @@ import os
 
 import pytest
 
-from repro.benchcircuits import c17
+from repro.benchcircuits import c17, random_circuit
 from repro.comparison import identification_cache
 from repro.io import circuit_to_json
 from repro.obs import Registry
+from repro.service.jobspec import resolve_circuit
+from repro.service.runner import procedure_call
 from repro.sweep import (
     SWEEP_ROW_NUMBER_FIELDS,
     SweepError,
     SweepRunner,
     SweepSpec,
 )
+from repro.verify import brute_force_front, diverged_fields
 
 
 def tiny_spec(**kw):
@@ -138,3 +142,33 @@ class TestBackends:
             for field in SWEEP_ROW_NUMBER_FIELDS:
                 assert a[field] == b[field]
         assert parallel.front == serial.front
+
+
+class TestTwoCircuitGrid:
+    """A suite circuit by name and an inline netlist in one grid."""
+
+    @pytest.fixture(scope="class")
+    def swept(self, tmp_path_factory):
+        inline = json.loads(circuit_to_json(
+            random_circuit("gen8", 8, 3, 30, seed=5)))
+        spec = SweepSpec(circuits=("syn1423", inline),
+                         procedures=("procedure2", "procedure3"), ks=(4,),
+                         seeds=(1,), perm_budget=24, max_passes=2)
+        identification_cache().clear()
+        runner = SweepRunner(spec, str(tmp_path_factory.mktemp("grid")))
+        return spec, runner, runner.run()
+
+    def test_each_circuit_front_is_the_brute_force_front(self, swept):
+        _spec, _runner, report = swept
+        assert sorted(report.front) == ["gen8", "syn1423"]
+        assert report.front == brute_force_front(report.rows)
+
+    def test_each_cell_equals_its_standalone_job(self, swept):
+        spec, runner, _report = swept
+        for cell in spec.cells():
+            identification_cache().clear()
+            standalone = procedure_call(cell.spec)(resolve_circuit(cell.spec))
+            with open(runner.cell_path(cell.cell_id)) as fh:
+                doc = json.load(fh)
+            assert diverged_fields(standalone, doc) == [], cell.describe()
+        identification_cache().clear()

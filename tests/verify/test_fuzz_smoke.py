@@ -47,8 +47,7 @@ class TestSmokeRun:
         assert report.ok, report.summary()
         assert report.seeds_run == 6
         assert set(report.checks_run) == {
-            "sim", "fault", "resynth", "unit", "incremental", "parallel",
-            "resume", "memo", "sweep",
+            "sim", "fault", "resynth", "unit", "incremental", "execution",
         }
         assert all(n == 6 for n in report.checks_run.values())
 

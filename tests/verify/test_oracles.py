@@ -157,8 +157,7 @@ class TestDefaultOracles:
     def test_full_set(self):
         names = [o.name for o in default_oracles()]
         assert names == [
-            "sim", "fault", "resynth", "unit", "incremental", "parallel",
-            "resume", "memo", "sweep",
+            "sim", "fault", "resynth", "unit", "incremental", "execution",
         ]
 
     def test_subset_and_unknown(self):
